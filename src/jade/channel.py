@@ -10,7 +10,7 @@ snapshot (block fading) and independent across snapshots and paths.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -180,34 +180,46 @@ class FadingModel:
 
 @dataclass
 class SnapshotSet:
-    """Synthesized (or loaded) array snapshots and their per-sensor spectra.
+    """Synthesized (or loaded) array snapshots, stored as per-sensor spectra.
 
-    ``data`` is indexed (snapshot, sensor, time) and ``spectra`` is its DFT
-    along the time axis. ``paths``/``betas`` retain the generating ground
-    truth when the set was synthesized; they are ``None`` for datasets
-    loaded from disk.
+    ``bins`` is indexed (snapshot, frequency bin, sensor), so the sensor
+    vectors the estimator reads are contiguous; ``spectra`` views it as
+    (snapshot, sensor, bin). ``data``, the (snapshot, sensor, time) series,
+    is an inverse DFT computed on first read and cached (a loaded dataset
+    starts with the parsed series cached). ``paths``/``betas`` retain the
+    generating ground truth of a synthesized set; loaded sets have ``None``.
     """
 
-    data: np.ndarray
-    spectra: np.ndarray
+    bins: np.ndarray
     array: ArrayConfig
     paths: Optional[List[PathParam]] = None
     fading: Optional[FadingModel] = None
     noise_var: float = 0.0
     seed: Optional[int] = None
     betas: Optional[np.ndarray] = None
+    _data: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    @property
+    def spectra(self) -> np.ndarray:
+        return self.bins.transpose(0, 2, 1)
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = np.fft.ifft(self.spectra, axis=-1)
+        return self._data
 
     @property
     def num_snapshots(self) -> int:
-        return self.data.shape[0]
+        return self.bins.shape[0]
 
     @property
     def num_sensors(self) -> int:
-        return self.data.shape[1]
+        return self.bins.shape[2]
 
     @property
     def num_samples(self) -> int:
-        return self.data.shape[2]
+        return self.bins.shape[1]
 
 
 def steering_vector(arr: ArrayConfig, angle_deg: float) -> np.ndarray:
@@ -245,11 +257,13 @@ def synthesize(
 ) -> SnapshotSet:
     """Generate array snapshots for the given paths, fading and noise.
 
-    Delays are applied multiplicatively in the frequency domain, which
-    supports fractional and negative values and matches the exp(-j*omega*
-    delay) convention assumed by the estimator. Noise, when requested, is
-    circular complex white Gaussian with variance ``noise_var`` per sample.
-    The output is fully reproducible from ``seed``.
+    Spectra are formed directly: snapshot s is G^T (A diag beta_s), with G
+    the (L, N) delayed pulse spectra and A the (M, L) steering matrix.
+    Delays enter as exp(-j*omega*delay), so they may be fractional or
+    negative, matching the estimator's convention. Noise, when requested,
+    is circular complex white Gaussian with variance ``noise_var`` per time
+    sample, drawn in time after the snapshot's fading draws and then
+    transformed. The output is fully reproducible from ``seed``.
     """
     arr.validate()
     fading.validate()
@@ -265,29 +279,22 @@ def synthesize(
     for p in paths:
         p.validate(num_samples=n)
 
-    num_paths = len(paths)
     m = arr.num_sensors
-    # (L, N) delayed pulses and (M, L) steering matrix are fixed across snapshots.
-    delayed = np.empty((num_paths, n), dtype=complex)
-    for i, p in enumerate(paths):
-        delayed[i] = np.fft.ifft(delayed_pulse_spectrum(pulse.values, p.delay))
-    steering = np.column_stack([steering_vector(arr, p.angle_deg) for p in paths])
+    # (N, L) delayed pulse spectra and (L, M) steering rows are fixed across snapshots.
+    delayed = np.column_stack([delayed_pulse_spectrum(pulse.values, p.delay) for p in paths])
+    steering = np.array([steering_vector(arr, p.angle_deg) for p in paths])
 
-    data = np.empty((num_snapshots, m, n), dtype=complex)
-    betas = np.empty((num_snapshots, num_paths), dtype=complex)
-    for s in range(num_snapshots):
-        rng = _snapshot_rng(seed, s)
-        b = fading.draw(rng, num_paths)
-        betas[s] = b
-        data[s] = (steering * b) @ delayed
-        if noise_var > 0:
+    rngs = [_snapshot_rng(seed, s) for s in range(num_snapshots)]
+    betas = np.array([fading.draw(rng, len(paths)) for rng in rngs])
+    bins = delayed @ (betas[:, :, None] * steering)
+    if noise_var > 0:
+        scale = np.sqrt(noise_var / 2.0)
+        for s, rng in enumerate(rngs):
             noise = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            data[s] += np.sqrt(noise_var / 2.0) * noise
+            bins[s] += scale * np.fft.fft(noise, axis=-1).T
 
-    spectra = np.fft.fft(data, axis=-1)
     return SnapshotSet(
-        data=data,
-        spectra=spectra,
+        bins=bins,
         array=arr,
         paths=list(paths),
         fading=fading,
@@ -340,10 +347,10 @@ def _parse_header(line: str) -> dict:
 def load_dataset(path) -> SnapshotSet:
     """Read a dataset written by :func:`save_dataset`.
 
-    The per-sensor spectra are recomputed from the time series, so the
-    loaded set satisfies the same data/spectra consistency as a
-    synthesized one. Ground-truth fields are not stored in the file and
-    come back as ``None``.
+    The per-sensor spectra are computed from the time series, and the
+    parsed series itself is kept as the set's ``data``, so reading a file
+    back gives exactly the samples that were written. Ground-truth fields
+    are not stored in the file and come back as ``None``.
     """
     with open(path) as fh:
         header = _parse_header(fh.readline().strip())
@@ -365,4 +372,5 @@ def load_dataset(path) -> SnapshotSet:
                 pairs = np.asarray(cells, dtype=float).reshape(n, 2)
                 data[s, k] = pairs[:, 0] + 1j * pairs[:, 1]
     arr = ArrayConfig(num_sensors=m, spacing=header["delta"])
-    return SnapshotSet(data=data, spectra=np.fft.fft(data, axis=-1), array=arr)
+    bins = np.ascontiguousarray(np.fft.fft(data, axis=-1).transpose(0, 2, 1))
+    return SnapshotSet(bins=bins, array=arr, _data=data)

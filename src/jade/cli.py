@@ -27,12 +27,10 @@ from . import __version__
 from .exceptions import EstimationError, ValidationError
 from .pulse import generate_pulse, spectrum
 from .channel import load_dataset, save_dataset, synthesize
-from .correlation import estimate_correlation, select_band
-from .prony import svd_prony
-from .delay import beamform, fit_delay
 from .pipeline import (
     ScenarioConfig,
     default_scenario,
+    estimate,
     load_config,
     monte_carlo,
     run_pipeline,
@@ -114,6 +112,15 @@ def _dump_fit(delays, beams, pulse_spec, out_dir: Path, snapshot: int = 0) -> No
             ["omega", "phase_residual", "fitted_line"],
             zip(omega, phase, line),
         )
+
+
+def _write_dumps(args, art) -> None:
+    if args.dump_correlation:
+        _dump_correlation(art.correlation, args.out)
+    if args.dump_roots:
+        _dump_roots(art.modes, args.out)
+    if args.dump_fit:
+        _dump_fit(art.delays, art.beamformed, art.pulse_spec, args.out)
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -221,25 +228,15 @@ def _cmd_estimate(args) -> int:
             f"dataset has N={snaps.num_samples} samples but the configured "
             f"pulse has N={len(wave)}"
         )
-    pulse_spec = spectrum(wave, cfg.band_threshold)
-    band = select_band(pulse_spec, cfg.band_threshold)
-    corr = estimate_correlation(snaps, band)
-    modes = svd_prony(corr, cfg.prony)
-    beams = beamform(snaps, modes.sines)
-    delays = fit_delay(beams, pulse_spec, band, cfg.weighted_fit)
+    art = estimate(snaps, wave, cfg)
 
-    print("angles_deg:", " ".join(f"{a:.4f}" for a in modes.angles_deg))
-    print("delay_median:", " ".join(f"{d:.4f}" for d in delays.delay_median))
-    print("delay_mean:", " ".join(f"{d:.4f}" for d in delays.delay_mean))
-    print("singular_values:", " ".join(f"{s:.6g}" for s in modes.singular_values[:10]), "...")
+    print("angles_deg:", " ".join(f"{a:.4f}" for a in art.modes.angles_deg))
+    print("delay_median:", " ".join(f"{d:.4f}" for d in art.delays.delay_median))
+    print("delay_mean:", " ".join(f"{d:.4f}" for d in art.delays.delay_mean))
+    print("singular_values:", " ".join(f"{s:.6g}" for s in art.modes.singular_values[:10]), "...")
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        if args.dump_correlation:
-            _dump_correlation(corr, args.out)
-        if args.dump_roots:
-            _dump_roots(modes, args.out)
-        if args.dump_fit:
-            _dump_fit(delays, beams, pulse_spec, args.out)
+        _write_dumps(args, art)
     return EXIT_OK
 
 
@@ -252,17 +249,7 @@ def _cmd_run(args) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "report.json").write_text(text + "\n")
         print(f"wrote {args.out / 'report.json'}")
-        if args.dump_correlation:
-            _dump_correlation(report.artifacts.correlation, args.out)
-        if args.dump_roots:
-            _dump_roots(report.artifacts.modes, args.out)
-        if args.dump_fit:
-            _dump_fit(
-                report.artifacts.delays,
-                report.artifacts.beamformed,
-                report.artifacts.pulse_spec,
-                args.out,
-            )
+        _write_dumps(args, report.artifacts)
     else:
         print(text)
     print(f"elapsed: {report.timing_s:.3f} s", file=sys.stderr)

@@ -78,14 +78,13 @@ def estimate_correlation(snaps: SnapshotSet, band: np.ndarray) -> CorrelationSeq
         raise ValidationError("band must be non-empty")
     if band.min() < 0 or band.max() >= snaps.num_samples:
         raise ValidationError("band indices outside the spectrum")
-    m = snaps.num_sensors
-    sub = snaps.spectra[:, :, band]  # (S, M, B)
-    s_count, _, b_count = sub.shape
+    sub = snaps.bins[:, band]  # (S, B, M)
+    s_count, b_count, m = sub.shape
 
     # Every (snapshot, bin) pair contributes one length-M sensor vector x;
     # the lag-l sum over pairs is the l-th superdiagonal of the Gram matrix
     # sum_r conj(x_r) x_r^T. The diagonal (lag 0) is exactly real.
-    rows = sub.transpose(0, 2, 1).reshape(-1, m)
+    rows = sub.reshape(-1, m)
     gram = rows.conj().T @ rows
     values = np.array([np.trace(gram, offset=lag) for lag in range(m)])
     counts = s_count * b_count * (m - np.arange(m))

@@ -77,7 +77,7 @@ def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> BeamformedSpectrum:
     m = snaps.num_sensors
     k = np.arange(m)
     weights = np.exp(-2j * np.pi * snaps.array.spacing * np.outer(sines, k)) / m
-    values = np.einsum("lm,smn->sln", weights, snaps.spectra)
+    values = (snaps.bins @ weights.T).transpose(0, 2, 1)
     return BeamformedSpectrum(values=values, sines_used=sines)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "RunReport",
     "MonteCarloReport",
     "default_scenario",
+    "estimate",
     "run_pipeline",
     "monte_carlo",
     "load_config",
@@ -43,7 +44,7 @@ REPORT_SCHEMA = "jade-report/1"
 
 @dataclass
 class PipelineArtifacts:
-    """In-memory stage outputs kept for CSV dumps; never serialized."""
+    """Stage outputs of :func:`estimate`, kept for CSV dumps; never serialized."""
 
     pulse_wave: SampledWaveform
     pulse_spec: Spectrum
@@ -120,7 +121,6 @@ class ScenarioConfig:
             "snapshots": cfg.num_snapshots,
             "noise_var": cfg.noise_var,
             "band_threshold": cfg.band_threshold,
-            "modes": cfg.prony.num_modes,
             "forward_backward": cfg.prony.forward_backward,
             "weighted_fit": cfg.weighted_fit,
             "seed": cfg.seed,
@@ -351,19 +351,36 @@ def _stage(name: str, fn, *args, **kwargs):
         raise EstimationError(name, str(exc)) from exc
 
 
+def estimate(
+    snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfig
+) -> PipelineArtifacts:
+    """Estimate angles and delays from ``snaps`` for the known pulse ``pulse_wave``.
+
+    Stages: pulse spectrum, band selection, spatial correlation, SVD Prony
+    (angles), beamforming, phase slope fit (delays). ``cfg`` must be
+    resolved; only its estimation settings are read. Any stage failure is
+    reported with the stage name.
+    """
+    pulse_spec = _stage("spectrum", spectrum, pulse_wave, cfg.band_threshold)
+    band = _stage("select_band", select_band, pulse_spec, cfg.band_threshold)
+    corr = _stage("correlation", estimate_correlation, snaps, band)
+    modes = _stage("prony", svd_prony, corr, cfg.prony)
+    beams = _stage("beamform", beamform, snaps, modes.sines)
+    delays = _stage("fit_delay", fit_delay, beams, pulse_spec, band, cfg.weighted_fit)
+    return PipelineArtifacts(pulse_wave, pulse_spec, band, snaps, corr, modes, beams, delays)
+
+
 def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport:
     """Synthesize the scenario, estimate angles and delays, and report.
 
-    Stages: pulse generation, pulse spectrum, snapshot synthesis, band
-    selection, spatial correlation, SVD Prony (angles), beamforming, phase
-    slope fit (delays). Any stage failure is reported with the stage name.
-    Deterministic for a fixed (config, seed).
+    Stages: pulse generation, snapshot synthesis, then the estimation
+    chain of :func:`estimate`. Any stage failure is reported with the
+    stage name. Deterministic for a fixed (config, seed).
     """
     cfg = cfg.resolved()
     started = time.perf_counter()
 
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
-    pulse_spec = _stage("spectrum", spectrum, pulse_wave, cfg.band_threshold)
     snaps = _stage(
         "synthesize",
         synthesize,
@@ -375,11 +392,8 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
         cfg.noise_var,
         cfg.seed,
     )
-    band = _stage("select_band", select_band, pulse_spec, cfg.band_threshold)
-    corr = _stage("correlation", estimate_correlation, snaps, band)
-    modes = _stage("prony", svd_prony, corr, cfg.prony)
-    beams = _stage("beamform", beamform, snaps, modes.sines)
-    delays = _stage("fit_delay", fit_delay, beams, pulse_spec, band, cfg.weighted_fit)
+    art = estimate(snaps, pulse_wave, cfg)
+    modes, delays, band = art.modes, art.delays, art.band
     elapsed = time.perf_counter() - started
 
     # Truth is matched to estimates in sin(angle) order; both sides sorted.
@@ -389,7 +403,7 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
     angle_errors = (np.asarray(modes.angles_deg) - np.asarray(angles_true)).tolist()
     delay_errors = (np.asarray(delays.delay_median) - np.asarray(delays_true)).tolist()
 
-    report = RunReport(
+    return RunReport(
         config=cfg.to_dict(),
         seed=cfg.seed,
         sines_est=modes.sines.tolist(),
@@ -412,19 +426,8 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
         angle_errors_deg=angle_errors,
         delay_errors=delay_errors,
         timing_s=elapsed,
+        artifacts=art if keep_artifacts else None,
     )
-    if keep_artifacts:
-        report.artifacts = PipelineArtifacts(
-            pulse_wave=pulse_wave,
-            pulse_spec=pulse_spec,
-            band=band,
-            snapshots=snaps,
-            correlation=corr,
-            modes=modes,
-            beamformed=beams,
-            delays=delays,
-        )
-    return report
 
 
 def trial_seed(base_seed: int, trial: int) -> int:

@@ -12,6 +12,7 @@ from jade import (
     steering_vector,
     synthesize,
 )
+from jade.channel import _snapshot_rng, delayed_pulse_spectrum
 
 from test_pulse import zero_bit_cfg
 
@@ -108,6 +109,46 @@ class TestSynthesize:
         ref = np.fft.fft(snaps.data, axis=-1)
         err = np.abs(snaps.spectra - ref).max() / np.abs(ref).max()
         assert err < 1e-10
+
+    def test_matches_time_domain_construction(self, pulse_wave):
+        # Reference: each snapshot built in the time domain from its own
+        # substream (fading draws, then noise), then transformed.
+        paths = [PathParam(-10.0, 3.0), PathParam(25.0, -4.5)]
+        arr = ArrayConfig(6, 0.5)
+        fading = FadingModel.rician(nu=1.0, sigma=0.5)
+        seed, count, noise_var = 9, 7, 0.3
+        n = len(pulse_wave)
+        delayed = np.array(
+            [np.fft.ifft(delayed_pulse_spectrum(pulse_wave.values, p.delay)) for p in paths]
+        )
+        steering = np.column_stack([steering_vector(arr, p.angle_deg) for p in paths])
+        data = np.empty((count, arr.num_sensors, n), dtype=complex)
+        betas = np.empty((count, len(paths)), dtype=complex)
+        for s in range(count):
+            rng = _snapshot_rng(seed, s)
+            betas[s] = fading.draw(rng, len(paths))
+            shape = (arr.num_sensors, n)
+            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            data[s] = (steering * betas[s]) @ delayed + np.sqrt(noise_var / 2.0) * noise
+        ref = np.fft.fft(data, axis=-1)
+
+        snaps = synthesize(pulse_wave, paths, arr, fading, count, noise_var, seed=seed)
+        assert np.array_equal(snaps.betas, betas)
+        assert np.abs(snaps.spectra - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_holds_one_snapshot_array_until_data_is_read(self, pulse_wave):
+        snaps = synthesize(
+            pulse_wave, [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)], ArrayConfig(4, 0.5),
+            FadingModel.rayleigh(1.0), 3, 0.1, seed=1,
+        )
+        cube = 3 * 4 * len(pulse_wave)
+
+        def held():
+            return [v for v in vars(snaps).values() if isinstance(v, np.ndarray)]
+
+        assert [a.size for a in held()] == [cube, snaps.betas.size]
+        assert snaps.data.shape == (3, 4, len(pulse_wave))
+        assert sorted(a.size for a in held()) == [snaps.betas.size, cube, cube]
 
     def test_reproducible_and_prefix_stable(self, pulse_wave):
         kw = dict(

@@ -2,8 +2,9 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
-from jade import EstimationError
+from jade import EstimationError, scenario_from_dict
 from jade.cli import main
 
 
@@ -116,6 +117,25 @@ class TestRunCommand:
         assert report["config"]["sensors"] == 16
 
 
+class TestConfigEcho:
+    def test_set_can_change_the_path_count(self, capsys):
+        assert main(["run", *SMALL, "--set", "angles_deg=15", "--set", "delays=4"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["angles_est_deg"]) == 1
+        assert abs(report["angles_est_deg"][0] - 15.0) < 0.1
+
+    @pytest.mark.parametrize(
+        "paths", [{"angles_deg": [15.0], "delays": [4.0]},
+                  {"angles_deg": [-40.0, 0.0, 25.0], "delays": [-2.5, 1.0, 6.25]}]
+    )
+    def test_echo_round_trip(self, paths):
+        cfg = scenario_from_dict({"fading": "rician", "nu": 1.0, "sigma": 0.5, **paths})
+        echo = cfg.to_dict()
+        again = scenario_from_dict(echo)
+        assert again.to_dict() == echo
+        assert again.resolved() == cfg.resolved()
+
+
 class TestMonteCarloCommand:
     def test_writes_aggregates(self, tmp_path):
         code = main(["montecarlo", *SMALL, "--trials", "3", "--out", str(tmp_path)])
@@ -151,5 +171,5 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise EstimationError("prony", "injected")
 
-        monkeypatch.setattr("jade.cli.svd_prony", boom)
+        monkeypatch.setattr("jade.pipeline.svd_prony", boom)
         assert main(["estimate", *SMALL, "--data", str(data)]) == 3
