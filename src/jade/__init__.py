@@ -21,7 +21,7 @@ from .channel import (
     synthesize,
 )
 from .correlation import CorrelationSequence, estimate_correlation, select_band
-from .prony import ModeEstimate, PronyConfig, roots_of_polynomial, suggest_model_order, svd_prony
+from .prony import ModeEstimate, PronyConfig, roots_of_polynomial, svd_prony
 from .delay import BeamformedSpectrum, DelayEstimate, beamform, fit_delay
 from .pipeline import (
     MonteCarloReport,
@@ -60,7 +60,6 @@ __all__ = [
     "ModeEstimate",
     "svd_prony",
     "roots_of_polynomial",
-    "suggest_model_order",
     "BeamformedSpectrum",
     "DelayEstimate",
     "beamform",

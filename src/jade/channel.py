@@ -234,8 +234,9 @@ def steering_vector(arr: ArrayConfig, angle_deg: float) -> np.ndarray:
 
 
 def _snapshot_rng(seed: int, snapshot: int) -> np.random.Generator:
-    # Per-snapshot substream: snapshot content does not depend on the total
-    # snapshot count, so parallel and serial generation agree.
+    # Per-snapshot substream keyed by (seed, snapshot index): snapshot s is
+    # the same whatever the snapshot count, so a shorter run is a prefix of
+    # a longer one with the same seed.
     return np.random.default_rng(np.random.SeedSequence([seed, snapshot]))
 
 
@@ -355,6 +356,12 @@ def load_dataset(path) -> SnapshotSet:
     with open(path) as fh:
         header = _parse_header(fh.readline().strip())
         m, n, s_count = header["M"], header["N"], header["S"]
+        arr = ArrayConfig(num_sensors=m, spacing=header["delta"])
+        arr.validate()
+        if s_count < 1 or n < 2:
+            raise ValidationError(
+                f"dataset header needs S >= 1 and N >= 2, got S={s_count} N={n}"
+            )
         data = np.empty((s_count, m, n), dtype=complex)
         for s in range(s_count):
             for k in range(m):
@@ -371,6 +378,5 @@ def load_dataset(path) -> SnapshotSet:
                     )
                 pairs = np.asarray(cells, dtype=float).reshape(n, 2)
                 data[s, k] = pairs[:, 0] + 1j * pairs[:, 1]
-    arr = ArrayConfig(num_sensors=m, spacing=header["delta"])
     bins = np.ascontiguousarray(np.fft.fft(data, axis=-1).transpose(0, 2, 1))
     return SnapshotSet(bins=bins, array=arr, _data=data)

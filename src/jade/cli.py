@@ -4,7 +4,7 @@ Subcommands
 -----------
 pulse : write the pulse waveform and spectrum as CSV.
 simulate : synthesize snapshots and write them as a text dataset.
-estimate : run the estimation chain on a dataset file.
+estimate : run the estimation chain on a dataset file, report as JSON.
 run : full in-memory synthesis + estimation, report as JSON.
 montecarlo : repeated seeded runs with bias/RMSE aggregates.
 
@@ -95,22 +95,16 @@ def _dump_roots(modes, out_dir: Path) -> None:
     _write_csv(out_dir / "roots.csv", ["re", "im", "modulus", "selected"], rows)
 
 
-def _dump_fit(delays, beams, pulse_spec, out_dir: Path, snapshot: int = 0) -> None:
+def _dump_fit(delays, pulse_spec, out_dir: Path, snapshot: int = 0) -> None:
     # One CSV per path: unwrapped residual phase of one representative
     # snapshot against the fitted line.
-    from .pulse import unwrap_phase
-
-    band = delays.band
-    omega = pulse_spec.omega[band]
-    g_band = pulse_spec.values[band]
-    for i in range(beams.num_paths):
-        residual = beams.values[snapshot, i, band] * (np.conj(g_band) / np.abs(g_band) ** 2)
-        phase = unwrap_phase(np.angle(residual))
+    omega = pulse_spec.omega[delays.band]
+    for i in range(delays.slope.shape[1]):
         line = delays.slope[snapshot, i] * omega + delays.intercept[snapshot, i]
         _write_csv(
             out_dir / f"fit_path{i + 1}.csv",
             ["omega", "phase_residual", "fitted_line"],
-            zip(omega, phase, line),
+            zip(omega, delays.phase[snapshot, i], line),
         )
 
 
@@ -120,7 +114,23 @@ def _write_dumps(args, art) -> None:
     if args.dump_roots:
         _dump_roots(art.modes, args.out)
     if args.dump_fit:
-        _dump_fit(art.delays, art.beamformed, art.pulse_spec, args.out)
+        _dump_fit(art.delays, art.pulse_spec, args.out)
+
+
+def _emit(args, text: str, filename: str) -> None:
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / filename).write_text(text + "\n")
+        print(f"wrote {args.out / filename}")
+    else:
+        print(text)
+
+
+def _emit_report(args, report, include_timing: bool = False) -> None:
+    _emit(args, report.to_json(include_timing=include_timing), "report.json")
+    if args.out:
+        _write_dumps(args, report.artifacts)
+    print(f"elapsed: {report.timing_s:.3f} s", file=sys.stderr)
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -189,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("montecarlo", help="repeated seeded runs with aggregates")
     _add_common(p_mc)
     p_mc.add_argument("--trials", type=int, default=4, help="number of trials")
-    p_mc.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     p_mc.add_argument("--out", type=Path, help="directory for the report (default: stdout only)")
 
     return parser
@@ -228,44 +237,21 @@ def _cmd_estimate(args) -> int:
             f"dataset has N={snaps.num_samples} samples but the configured "
             f"pulse has N={len(wave)}"
         )
-    art = estimate(snaps, wave, cfg)
-
-    print("angles_deg:", " ".join(f"{a:.4f}" for a in art.modes.angles_deg))
-    print("delay_median:", " ".join(f"{d:.4f}" for d in art.delays.delay_median))
-    print("delay_mean:", " ".join(f"{d:.4f}" for d in art.delays.delay_mean))
-    print("singular_values:", " ".join(f"{s:.6g}" for s in art.modes.singular_values[:10]), "...")
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _write_dumps(args, art)
+    _emit_report(args, estimate(snaps, wave, cfg))
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     cfg = _load_scenario(args)
     keep = args.dump_correlation or args.dump_roots or args.dump_fit
-    report = run_pipeline(cfg, keep_artifacts=keep)
-    text = report.to_json(include_timing=args.timing)
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "report.json").write_text(text + "\n")
-        print(f"wrote {args.out / 'report.json'}")
-        _write_dumps(args, report.artifacts)
-    else:
-        print(text)
-    print(f"elapsed: {report.timing_s:.3f} s", file=sys.stderr)
+    _emit_report(args, run_pipeline(cfg, keep_artifacts=keep), include_timing=args.timing)
     return EXIT_OK
 
 
 def _cmd_montecarlo(args) -> int:
     cfg = _load_scenario(args)
-    report = monte_carlo(cfg, trials=args.trials, jobs=args.jobs)
-    text = report.to_json()
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "montecarlo.json").write_text(text + "\n")
-        print(f"wrote {args.out / 'montecarlo.json'}")
-    else:
-        print(text)
+    report = monte_carlo(cfg, trials=args.trials)
+    _emit(args, report.to_json(), "montecarlo.json")
     if report.num_failed:
         print(f"{report.num_failed}/{report.num_trials} trials failed", file=sys.stderr)
     return EXIT_OK

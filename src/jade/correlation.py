@@ -11,7 +11,6 @@ lag, which is the maximal averaging consistent with that structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,8 +33,6 @@ class CorrelationSequence:
 
     values: np.ndarray
     spacing: float
-    band: Optional[np.ndarray] = None
-    counts: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -89,6 +86,4 @@ def estimate_correlation(snaps: SnapshotSet, band: np.ndarray) -> CorrelationSeq
     values = np.array([np.trace(gram, offset=lag) for lag in range(m)])
     counts = s_count * b_count * (m - np.arange(m))
     values /= counts
-    return CorrelationSequence(
-        values=values, spacing=snaps.array.spacing, band=band, counts=counts
-    )
+    return CorrelationSequence(values=values, spacing=snaps.array.spacing)

@@ -35,22 +35,16 @@ class BeamformedSpectrum:
     values: np.ndarray
     sines_used: np.ndarray
 
-    @property
-    def num_snapshots(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_paths(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class DelayEstimate:
     """Per-snapshot phase-slope delay fits and their aggregates.
 
     ``delay_per_snapshot`` is exactly ``-slope``; ``intercept`` absorbs the
-    per-snapshot fading phase (modulo 2*pi). ``reliable`` marks fits whose
-    r-squared reaches :data:`RSQ_RELIABLE`.
+    per-snapshot fading phase (modulo 2*pi). ``phase`` is the unwrapped
+    in-band residual phase the lines were fitted to, shaped (snapshot,
+    path, bin). ``reliable`` marks fits whose r-squared reaches
+    :data:`RSQ_RELIABLE`.
     """
 
     delay_per_snapshot: np.ndarray
@@ -61,6 +55,7 @@ class DelayEstimate:
     rsq: np.ndarray
     band: np.ndarray
     reliable: np.ndarray
+    phase: np.ndarray
 
 
 def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> BeamformedSpectrum:
@@ -143,4 +138,5 @@ def fit_delay(
         rsq=rsq,
         band=band,
         reliable=rsq >= RSQ_RELIABLE,
+        phase=phase,
     )

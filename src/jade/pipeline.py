@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -186,8 +185,8 @@ _KNOWN_KEYS = {
     "schema", "rolloff", "carrier_freq", "symbols", "oversample", "bits", "bits_seed",
     "sensors", "spacing", "angles_deg", "delays", "fading", "sigma", "nu",
     "mean_db", "std_db", "beta_re", "beta_im", "snapshots", "noise_var",
-    "band_threshold", "modes", "prediction_order", "rank", "forward_backward",
-    "weighted_fit", "seed",
+    "band_threshold", "prediction_order", "rank", "forward_backward", "weighted_fit",
+    "seed",
 }
 
 
@@ -248,10 +247,10 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         raise ValidationError(f"unknown fading kind {kind!r}")
 
     prony = None
-    if any(k in raw for k in ("modes", "prediction_order", "rank", "forward_backward")):
+    if any(k in raw for k in ("prediction_order", "rank", "forward_backward")):
         fb = raw.get("forward_backward", False)
         prony = PronyConfig(
-            num_modes=int(get("modes", len(paths))),
+            num_modes=len(paths),
             prediction_order=int(raw["prediction_order"]) if "prediction_order" in raw else None,
             rank=int(raw["rank"]) if "rank" in raw else None,
             forward_backward=fb if isinstance(fb, bool) else _parse_bool("forward_backward", fb),
@@ -291,9 +290,11 @@ def load_config(path) -> ScenarioConfig:
 class RunReport:
     """Everything a single pipeline run produced.
 
-    ``to_json`` omits the wall-clock timing by default so that reports are
-    byte-identical across reruns of the same seed and config; pass
-    ``include_timing=True`` to keep it.
+    The truth and error fields are filled in by :func:`run_pipeline` and
+    stay ``None`` (and out of the JSON) for a report of :func:`estimate`
+    alone. ``to_json`` omits the wall-clock timing by default so that
+    reports are byte-identical across reruns of the same seed and config;
+    pass ``include_timing=True`` to keep it.
     """
 
     config: dict
@@ -351,58 +352,22 @@ def _stage(name: str, fn, *args, **kwargs):
         raise EstimationError(name, str(exc)) from exc
 
 
-def estimate(
-    snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfig
-) -> PipelineArtifacts:
+def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfig) -> RunReport:
     """Estimate angles and delays from ``snaps`` for the known pulse ``pulse_wave``.
 
     Stages: pulse spectrum, band selection, spatial correlation, SVD Prony
     (angles), beamforming, phase slope fit (delays). ``cfg`` must be
     resolved; only its estimation settings are read. Any stage failure is
-    reported with the stage name.
+    reported with the stage name. The report carries no truth fields and
+    keeps the stage outputs in ``artifacts``.
     """
+    started = time.perf_counter()
     pulse_spec = _stage("spectrum", spectrum, pulse_wave, cfg.band_threshold)
     band = _stage("select_band", select_band, pulse_spec, cfg.band_threshold)
     corr = _stage("correlation", estimate_correlation, snaps, band)
     modes = _stage("prony", svd_prony, corr, cfg.prony)
     beams = _stage("beamform", beamform, snaps, modes.sines)
     delays = _stage("fit_delay", fit_delay, beams, pulse_spec, band, cfg.weighted_fit)
-    return PipelineArtifacts(pulse_wave, pulse_spec, band, snaps, corr, modes, beams, delays)
-
-
-def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport:
-    """Synthesize the scenario, estimate angles and delays, and report.
-
-    Stages: pulse generation, snapshot synthesis, then the estimation
-    chain of :func:`estimate`. Any stage failure is reported with the
-    stage name. Deterministic for a fixed (config, seed).
-    """
-    cfg = cfg.resolved()
-    started = time.perf_counter()
-
-    pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
-    snaps = _stage(
-        "synthesize",
-        synthesize,
-        pulse_wave,
-        cfg.paths,
-        cfg.array,
-        cfg.fading,
-        cfg.num_snapshots,
-        cfg.noise_var,
-        cfg.seed,
-    )
-    art = estimate(snaps, pulse_wave, cfg)
-    modes, delays, band = art.modes, art.delays, art.band
-    elapsed = time.perf_counter() - started
-
-    # Truth is matched to estimates in sin(angle) order; both sides sorted.
-    order = np.argsort([p.sin_angle for p in cfg.paths])
-    angles_true = [cfg.paths[i].angle_deg for i in order]
-    delays_true = [cfg.paths[i].delay for i in order]
-    angle_errors = (np.asarray(modes.angles_deg) - np.asarray(angles_true)).tolist()
-    delay_errors = (np.asarray(delays.delay_median) - np.asarray(delays_true)).tolist()
-
     return RunReport(
         config=cfg.to_dict(),
         seed=cfg.seed,
@@ -421,12 +386,50 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
         delay_mean=delays.delay_mean.tolist(),
         rsq_median=np.median(delays.rsq, axis=0).tolist(),
         unreliable_fits=int(np.sum(~delays.reliable)),
+        timing_s=time.perf_counter() - started,
+        artifacts=PipelineArtifacts(
+            pulse_wave, pulse_spec, band, snaps, corr, modes, beams, delays
+        ),
+    )
+
+
+def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport:
+    """Synthesize the scenario, estimate angles and delays, and report.
+
+    Stages: pulse generation, snapshot synthesis, then the estimation
+    chain of :func:`estimate`, whose report gains the truth and error
+    fields. Any stage failure is reported with the stage name.
+    Deterministic for a fixed (config, seed).
+    """
+    cfg = cfg.resolved()
+    started = time.perf_counter()
+
+    pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
+    snaps = _stage(
+        "synthesize",
+        synthesize,
+        pulse_wave,
+        cfg.paths,
+        cfg.array,
+        cfg.fading,
+        cfg.num_snapshots,
+        cfg.noise_var,
+        cfg.seed,
+    )
+    report = estimate(snaps, pulse_wave, cfg)
+
+    # Truth is matched to estimates in sin(angle) order; both sides sorted.
+    order = np.argsort([p.sin_angle for p in cfg.paths])
+    angles_true = [cfg.paths[i].angle_deg for i in order]
+    delays_true = [cfg.paths[i].delay for i in order]
+    return replace(
+        report,
         angles_true_deg=angles_true,
         delays_true=delays_true,
-        angle_errors_deg=angle_errors,
-        delay_errors=delay_errors,
-        timing_s=elapsed,
-        artifacts=art if keep_artifacts else None,
+        angle_errors_deg=(np.asarray(report.angles_est_deg) - angles_true).tolist(),
+        delay_errors=(np.asarray(report.delay_median) - delays_true).tolist(),
+        timing_s=time.perf_counter() - started,
+        artifacts=report.artifacts if keep_artifacts else None,
     )
 
 
@@ -491,11 +494,11 @@ def _run_trial(cfg: ScenarioConfig, trial: int) -> dict:
     return entry
 
 
-def monte_carlo(cfg: ScenarioConfig, trials: int, jobs: int = 1) -> MonteCarloReport:
+def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
     """Run ``trials`` independent seeded pipelines and aggregate statistics.
 
-    Trials use seeds derived from (config seed, trial index), so results do
-    not depend on ``jobs``. The pulse bit sequence is resolved once from
+    Trials run in order with seeds derived from (config seed, trial
+    index). The pulse bit sequence is resolved once from
     the base config, so every trial observes the same known pulse and only
     the fading/noise realizations differ. Failed trials are reported with
     their error and excluded from the bias/RMSE aggregates.
@@ -503,11 +506,7 @@ def monte_carlo(cfg: ScenarioConfig, trials: int, jobs: int = 1) -> MonteCarloRe
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     cfg = cfg.resolved()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: _run_trial(cfg, t), range(trials)))
-    else:
-        results = [_run_trial(cfg, t) for t in range(trials)]
+    results = [_run_trial(cfg, t) for t in range(trials)]
 
     ok = [r for r in results if r["ok"]]
     angle_bias = angle_rmse = delay_bias = delay_rmse = None

@@ -25,7 +25,6 @@ __all__ = [
     "ModeEstimate",
     "svd_prony",
     "roots_of_polynomial",
-    "suggest_model_order",
 ]
 
 # Roots outside this modulus window cannot be unit-modulus signal modes.
@@ -47,7 +46,6 @@ class PronyConfig:
     num_modes: int
     prediction_order: Optional[int] = None
     rank: Optional[int] = None
-    root_selection: str = "unit_circle"
     forward_backward: bool = False
 
     def resolved(self, num_lags: int) -> "PronyConfig":
@@ -65,10 +63,6 @@ class PronyConfig:
         total = 2 * num_lags - 1
         if self.num_modes < 1:
             raise ValidationError(f"num_modes must be >= 1, got {self.num_modes}")
-        if self.root_selection != "unit_circle":
-            raise ValidationError(
-                f"unknown root_selection {self.root_selection!r}"
-            )
         p = self.prediction_order
         if p is None or self.rank is None:
             return
@@ -228,12 +222,3 @@ def svd_prony(corr: CorrelationSequence, cfg: PronyConfig) -> ModeEstimate:
         amp_imag_residual=float(np.abs(amp.imag).max() / amp_scale),
     )
 
-
-def suggest_model_order(singular_values: np.ndarray, max_order: Optional[int] = None) -> int:
-    """Largest-gap heuristic over the singular-value spectrum (diagnostic only)."""
-    sv = np.asarray(singular_values, dtype=float)
-    if sv.ndim != 1 or len(sv) < 2:
-        raise ValidationError("need at least two singular values")
-    limit = len(sv) - 1 if max_order is None else min(max_order, len(sv) - 1)
-    ratios = sv[:limit] / np.maximum(sv[1 : limit + 1], np.finfo(float).tiny)
-    return int(np.argmax(ratios)) + 1

@@ -43,6 +43,16 @@ class TestSimulateEstimate:
         assert data.exists()
         capsys.readouterr()
 
+        assert main(["estimate", *SMALL, "--data", str(data)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        angles = report["angles_est_deg"]
+        assert abs(angles[0] + 10.0) < 0.1 and abs(angles[1] - 20.0) < 0.1
+        # the run report of the same scenario, without the truth fields
+        assert main(["run", *SMALL]) == 0
+        run_keys = list(json.loads(capsys.readouterr().out))
+        truth = {"angles_true_deg", "delays_true", "angle_errors_deg", "delay_errors"}
+        assert list(report) == [k for k in run_keys if k not in truth]
+
         out_dir = tmp_path / "est"
         code = main(
             [
@@ -53,10 +63,7 @@ class TestSimulateEstimate:
             ]
         )
         assert code == 0
-        printed = capsys.readouterr().out
-        line = next(l for l in printed.splitlines() if l.startswith("angles_deg:"))
-        angles = [float(tok) for tok in line.split()[1:]]
-        assert abs(angles[0] + 10.0) < 0.1 and abs(angles[1] - 20.0) < 0.1
+        assert json.loads((out_dir / "report.json").read_text()) == report
 
         header, rows = read_csv(out_dir / "correlation.csv")
         assert header == ["lag", "re", "im", "abs", "phase"]
@@ -78,6 +85,18 @@ class TestSimulateEstimate:
             ["estimate", *SMALL, "--set", "symbols=16", "--data", str(data)]
         )
         assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["S=-1", "delta=0.0", "M=1"])
+    def test_estimate_rejects_malformed_header(self, tmp_path, capsys, field):
+        data = tmp_path / "snaps.txt"
+        main(["simulate", *SMALL, "--set", "snapshots=2", "--out", str(data)])
+        header, rest = data.read_text().split("\n", 1)
+        key = field.split("=")[0] + "="
+        tokens = [field if tok.startswith(key) else tok for tok in header.split()]
+        data.write_text(" ".join(tokens) + "\n" + rest)
+        capsys.readouterr()
+        assert main(["estimate", *SMALL, "--data", str(data)]) == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -126,14 +145,25 @@ class TestConfigEcho:
 
     @pytest.mark.parametrize(
         "paths", [{"angles_deg": [15.0], "delays": [4.0]},
-                  {"angles_deg": [-40.0, 0.0, 25.0], "delays": [-2.5, 1.0, 6.25]}]
+                  {"angles_deg": [-40.0, 0.0, 25.0], "delays": [-2.5, 1.0, 6.25]},
+                  {"angles_deg": [-5.0, 35.0], "delays": [-0.75, 12.5]},
+                  {"angles_deg": [-60.0, -20.0, 10.0, 50.0], "delays": [3.5, -7.25, 0.0, 1.125]},
+                  {"angles_deg": [-70.0, -35.0, 0.5, 30.0, 65.0],
+                   "delays": [-1.5, 2.0, -9.75, 4.25, 0.5]},
+                  {"angles_deg": [-75.0, -45.0, -15.0, 15.0, 45.0, 75.0],
+                   "delays": [0.25, -3.0, 5.5, -6.125, 8.0, -0.5]}]
     )
     def test_echo_round_trip(self, paths):
-        cfg = scenario_from_dict({"fading": "rician", "nu": 1.0, "sigma": 0.5, **paths})
-        echo = cfg.to_dict()
-        again = scenario_from_dict(echo)
-        assert again.to_dict() == echo
-        assert again.resolved() == cfg.resolved()
+        # every fading kind, each with non-default parameters
+        for fading in ({"fading": "deterministic", "beta_re": 0.5, "beta_im": -1.5},
+                       {"fading": "rayleigh", "sigma": 0.7},
+                       {"fading": "rician", "nu": 1.0, "sigma": 0.5},
+                       {"fading": "suzuki", "sigma": 2.0, "mean_db": -3.0, "std_db": 4.0}):
+            cfg = scenario_from_dict({**fading, **paths})
+            echo = cfg.to_dict()
+            again = scenario_from_dict(echo)
+            assert again.to_dict() == echo, fading
+            assert again.resolved() == cfg.resolved(), fading
 
 
 class TestMonteCarloCommand:

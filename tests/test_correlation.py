@@ -104,14 +104,6 @@ class TestEstimateCorrelation:
         expected = 2 * np.pi * 0.5 * np.sin(np.radians(25.0))
         assert np.abs(inc - expected).max() < 1e-10
 
-    def test_counts_formula(self):
-        wave = generate_pulse(zero_bit_cfg())
-        spec = spectrum(wave)
-        band = select_band(spec, 0.1)
-        snaps = make_snaps(wave, [PathParam(10.0, 1.0)], sensors=6, snapshots=3)
-        corr = estimate_correlation(snaps, band)
-        assert np.array_equal(corr.counts, 3 * len(band) * (6 - np.arange(6)))
-
     def test_matches_naive_loop(self):
         wave = generate_pulse(zero_bit_cfg())
         spec = spectrum(wave)

@@ -118,6 +118,10 @@ class TestFitDelay:
         assert est.slope[0, 0] == pytest.approx(-7.0, abs=1e-9)
         offset = (est.intercept[0, 0] - 1.234) / (2 * np.pi)
         assert offset == pytest.approx(round(offset), abs=1e-9)
+        # the fitted phase is kept, and on exact data it lies on the line
+        line = est.slope[..., None] * spec.omega[band] + est.intercept[..., None]
+        assert est.phase.shape == (1, 1, len(band))
+        assert np.abs(est.phase - line).max() < 1e-9
 
     def test_constant_phase_invariance_of_slope(self, keyed_pulse):
         spec, band = self.band_and_spec(keyed_pulse)

@@ -122,12 +122,6 @@ class TestMonteCarlo:
         assert len(set(seeds)) == 6
         assert seeds == [trial_seed(1, t) for t in range(6)]
 
-    def test_parallel_jobs_identical_output(self):
-        cfg = small_scenario(num_snapshots=10)
-        serial = monte_carlo(cfg, trials=4, jobs=1)
-        parallel = monte_carlo(cfg, trials=4, jobs=3)
-        assert serial.to_dict() == parallel.to_dict()
-
     def test_failed_trials_reported_and_excluded(self, monkeypatch):
         from jade.prony import svd_prony as real_svd_prony
 
@@ -203,6 +197,9 @@ class TestConfigHandling:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError, match="unknown config keys"):
             scenario_from_dict({"carrier": 0.25})
+        # the mode count is always the path count, not a config key
+        with pytest.raises(ValidationError, match="unknown config keys"):
+            scenario_from_dict({"modes": 2})
 
     def test_unsupported_schema_rejected(self):
         with pytest.raises(ValidationError, match="schema"):

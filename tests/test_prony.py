@@ -7,7 +7,6 @@ from jade import (
     PronyConfig,
     ValidationError,
     roots_of_polynomial,
-    suggest_model_order,
     svd_prony,
 )
 
@@ -151,22 +150,9 @@ class TestSvdProny:
             svd_prony(corr, PronyConfig(num_modes=2, prediction_order=1, rank=1))
         with pytest.raises(ValidationError):
             svd_prony(corr, PronyConfig(num_modes=1, prediction_order=12, rank=1))
-        with pytest.raises(ValidationError):
-            svd_prony(corr, PronyConfig(num_modes=1, root_selection="largest"))
 
     def test_default_prediction_order(self):
         corr = sequence_from_modes([0.5], [1.0], num_lags=64)
         cfg = PronyConfig(num_modes=1).resolved(64)
         assert cfg.prediction_order == (2 * 64 - 1) // 3
         assert cfg.rank == 1
-
-
-class TestSuggestModelOrder:
-    def test_detects_two_modes(self):
-        corr = sequence_from_modes([0.3, 1.1], [2.0, 1.0], num_lags=64)
-        est = svd_prony(corr, PronyConfig(num_modes=2))
-        assert suggest_model_order(est.singular_values) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            suggest_model_order(np.array([1.0]))
