@@ -47,8 +47,8 @@ class ArrayConfig:
     def validate(self) -> None:
         if self.num_sensors < 2:
             raise ValidationError(f"need at least 2 sensors, got {self.num_sensors}")
-        if self.spacing <= 0:
-            raise ValidationError(f"spacing must be positive, got {self.spacing}")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValidationError(f"spacing must be positive and finite, got {self.spacing}")
         if self.spacing > 0.5:
             warnings.warn(
                 f"element spacing {self.spacing} wavelengths exceeds 0.5; "
@@ -139,6 +139,9 @@ class FadingModel:
     def validate(self) -> None:
         if self.kind not in self._KINDS:
             raise ValidationError(f"unknown fading kind {self.kind!r}; one of {self._KINDS}")
+        for name in ("beta", "sigma", "nu", "mean_db", "std_db"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind in ("rayleigh", "rician", "suzuki") and self.sigma <= 0:
             raise ValidationError(f"sigma must be positive, got {self.sigma}")
         if self.kind == "rician" and self.nu < 0:
@@ -272,8 +275,8 @@ def synthesize(
         raise ValidationError("at least one path is required")
     if num_snapshots < 1:
         raise ValidationError(f"num_snapshots must be >= 1, got {num_snapshots}")
-    if noise_var < 0:
-        raise ValidationError(f"noise_var must be >= 0, got {noise_var}")
+    if not (np.isfinite(noise_var) and noise_var >= 0):
+        raise ValidationError(f"noise_var must be finite and >= 0, got {noise_var}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     n = len(pulse)

@@ -20,6 +20,10 @@ from .channel import SnapshotSet
 
 __all__ = ["CorrelationSequence", "select_band", "estimate_correlation"]
 
+# Sensor vectors per Gram block in estimate_correlation: about 1 MB at 64
+# sensors, so each gathered block stays in cache.
+ROWS = 1024
+
 
 @dataclass
 class CorrelationSequence:
@@ -75,15 +79,21 @@ def estimate_correlation(snaps: SnapshotSet, band: np.ndarray) -> CorrelationSeq
         raise ValidationError("band must be non-empty")
     if band.min() < 0 or band.max() >= snaps.num_samples:
         raise ValidationError("band indices outside the spectrum")
-    sub = snaps.bins[:, band]  # (S, B, M)
-    s_count, b_count, m = sub.shape
+    s_count, m = snaps.num_snapshots, snaps.num_sensors
 
     # Every (snapshot, bin) pair contributes one length-M sensor vector x;
     # the lag-l sum over pairs is the l-th superdiagonal of the Gram matrix
-    # sum_r conj(x_r) x_r^T. The diagonal (lag 0) is exactly real.
-    rows = sub.reshape(-1, m)
-    gram = rows.conj().T @ rows
+    # sum_r conj(x_r) x_r^T. The rows are gathered a few snapshots at a
+    # time, so no band-sized copy of the snapshots is ever held.
+    block = max(1, ROWS // band.size)
+    gram = np.zeros((m, m), dtype=complex)
+    for start in range(0, s_count, block):
+        rows = snaps.bins[start : start + block, band].reshape(-1, m)
+        gram += rows.conj().T @ rows
     values = np.array([np.trace(gram, offset=lag) for lag in range(m)])
-    counts = s_count * b_count * (m - np.arange(m))
+    # The diagonal sums |x_k|^2; fused multiply-adds in the GEMM can leave a
+    # rounding residue in its imaginary part, which is dropped.
+    values[0] = values[0].real
+    counts = s_count * band.size * (m - np.arange(m))
     values /= counts
     return CorrelationSequence(values=values, spacing=snaps.array.spacing)

@@ -69,10 +69,12 @@ def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> BeamformedSpectrum:
         raise ValidationError("need a non-empty 1-D list of sin(angle) values")
     if np.abs(sines).max() > 1.0:
         raise ValidationError("|sin(angle)| values must not exceed 1")
-    m = snaps.num_sensors
+    s_count, n, m = snaps.bins.shape
     k = np.arange(m)
     weights = np.exp(-2j * np.pi * snaps.array.spacing * np.outer(sines, k)) / m
-    values = (snaps.bins @ weights.T).transpose(0, 2, 1)
+    # One GEMM over all (snapshot, bin) rows rather than one per snapshot.
+    values = (snaps.bins.reshape(-1, m) @ weights.T).reshape(s_count, n, -1)
+    values = values.transpose(0, 2, 1)
     return BeamformedSpectrum(values=values, sines_used=sines)
 
 

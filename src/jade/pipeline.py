@@ -80,8 +80,8 @@ class ScenarioConfig:
         self.fading.validate()
         if self.num_snapshots < 1:
             raise ValidationError(f"snapshots must be >= 1, got {self.num_snapshots}")
-        if self.noise_var < 0:
-            raise ValidationError(f"noise_var must be >= 0, got {self.noise_var}")
+        if not (np.isfinite(self.noise_var) and self.noise_var >= 0):
+            raise ValidationError(f"noise_var must be finite and >= 0, got {self.noise_var}")
         if not 0.0 <= self.band_threshold < 1.0:
             raise ValidationError(
                 f"band_threshold must be in [0, 1), got {self.band_threshold}"

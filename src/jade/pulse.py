@@ -61,8 +61,8 @@ class PulseConfig:
     def validate(self) -> None:
         if not 0.0 < self.rolloff <= 1.0:
             raise ValidationError(f"rolloff must be in (0, 1], got {self.rolloff}")
-        if self.carrier_freq < 0.0:
-            raise ValidationError(f"carrier_freq must be >= 0, got {self.carrier_freq}")
+        if not (np.isfinite(self.carrier_freq) and self.carrier_freq >= 0.0):
+            raise ValidationError(f"carrier_freq must be finite and >= 0, got {self.carrier_freq}")
         if self.symbol_count < 1:
             raise ValidationError(f"symbol_count must be >= 1, got {self.symbol_count}")
         if self.oversample < 1:

@@ -65,8 +65,9 @@ class TestSteeringVector:
     def test_validation(self):
         with pytest.raises(ValidationError):
             steering_vector(ArrayConfig(1, 0.5), 0.0)
-        with pytest.raises(ValidationError):
-            steering_vector(ArrayConfig(4, 0.0), 0.0)
+        for spacing in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                steering_vector(ArrayConfig(4, spacing), 0.0)
 
 
 class TestSynthesize:
@@ -203,6 +204,9 @@ class TestSynthesize:
             synthesize(pulse_wave, [PathParam(0.0, 0.0)], arr, fading, 0)
         with pytest.raises(ValidationError):
             synthesize(pulse_wave, [PathParam(0.0, 0.0)], arr, fading, 1, noise_var=-1.0)
+        for noise_var in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="noise_var"):
+                synthesize(pulse_wave, [PathParam(0.0, 0.0)], arr, fading, 1, noise_var)
         with pytest.raises(ValidationError):
             synthesize(pulse_wave, [PathParam(0.0, 100.0)], arr, fading, 1)
         with pytest.raises(ValidationError):
@@ -251,6 +255,11 @@ class TestFadingModel:
             FadingModel.rician(nu=-1.0, sigma=1.0).validate()
         with pytest.raises(ValidationError):
             FadingModel(kind="nakagami").validate()
+        for kind in FadingModel._KINDS:
+            for field in ("beta", "sigma", "nu", "mean_db", "std_db"):
+                for bad in (np.nan, np.inf):
+                    with pytest.raises(ValidationError, match=field):
+                        FadingModel(kind=kind, **{field: bad}).validate()
 
 
 class TestDatasetIO:

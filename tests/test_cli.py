@@ -87,7 +87,7 @@ class TestSimulateEstimate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["S=-1", "delta=0.0", "M=1"])
+    @pytest.mark.parametrize("field", ["S=-1", "delta=0.0", "M=1", "delta=nan"])
     def test_estimate_rejects_malformed_header(self, tmp_path, capsys, field):
         data = tmp_path / "snaps.txt"
         main(["simulate", *SMALL, "--set", "snapshots=2", "--out", str(data)])
@@ -184,6 +184,16 @@ class TestExitCodes:
 
     def test_unknown_key_is_2(self, capsys):
         assert main(["run", "--set", "bogus=1"]) == 2
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["noise_var=nan", "noise_var=inf", "spacing=nan", "sigma=nan", "carrier_freq=nan"],
+    )
+    def test_non_finite_value_is_2(self, capsys, setting):
+        assert main(["run", *SMALL, "--set", setting]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_estimation_failure_is_3(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

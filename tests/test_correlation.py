@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from jade import (
     PathParam,
     PronyConfig,
     SampledWaveform,
+    SnapshotSet,
     ValidationError,
     estimate_correlation,
     generate_pulse,
@@ -16,6 +19,8 @@ from jade import (
     svd_prony,
     synthesize,
 )
+
+from jade.correlation import ROWS
 
 from test_pulse import zero_bit_cfg
 
@@ -29,6 +34,19 @@ def make_snaps(wave, paths, sensors=8, snapshots=1, fading=None, seed=0):
         snapshots,
         0.0,
         seed=seed,
+    )
+
+
+def naive_correlation(snaps, band):
+    """Lag-by-lag mean of x_k * conj(x_{k-l}) (test oracle)."""
+    sub = snaps.spectra[:, :, band]
+    s_count, m, b_count = sub.shape
+    return np.array(
+        [
+            np.sum(sub[:, lag:, :] * np.conj(sub[:, : m - lag, :]))
+            / (s_count * b_count * (m - lag))
+            for lag in range(m)
+        ]
     )
 
 
@@ -108,25 +126,59 @@ class TestEstimateCorrelation:
         wave = generate_pulse(zero_bit_cfg())
         spec = spectrum(wave)
         band = select_band(spec, 0.1)
-        snaps = make_snaps(
+        block = max(1, ROWS // band.size)
+
+        def two_path(snapshots):
+            return make_snaps(
+                wave,
+                [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
+                sensors=6,
+                snapshots=snapshots,
+                fading=FadingModel.rayleigh(1.0),
+                seed=9,
+            )
+
+        # one band wider than a Gram block, so each block is one snapshot
+        rng = np.random.default_rng(4)
+        wide = (3, ROWS + 8, 5)
+        wide_snaps = SnapshotSet(
+            bins=rng.standard_normal(wide) + 1j * rng.standard_normal(wide),
+            array=ArrayConfig(5, 0.5),
+        )
+        cases = [
+            (two_path(4), band),
+            (two_path(block // 2 + 1), band),  # fewer snapshots than one block
+            (two_path(2 * block + 3), band),  # a partial last block
+            (two_path(block + 1), band[::3]),  # non-contiguous band
+            (wide_snaps, np.arange(1, ROWS + 3)),
+        ]
+        for snaps, bins in cases:
+            corr = estimate_correlation(snaps, bins)
+            naive = naive_correlation(snaps, bins)
+            assert np.abs(corr.values - naive).max() < 1e-12 * np.abs(naive).max()
+            assert corr.values[0].imag == 0.0
+
+    def test_peak_allocation_below_a_quarter_of_the_snapshots(self, keyed_pulse):
+        # the Gram is built from cache-sized blocks, never from a band-sized
+        # copy of the snapshots
+        _, wave, spec = keyed_pulse
+        band = select_band(spec, 0.1)
+        snaps = synthesize(
             wave,
             [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
-            sensors=6,
-            snapshots=4,
-            fading=FadingModel.rayleigh(1.0),
-            seed=9,
+            ArrayConfig(64, 0.5),
+            FadingModel.rayleigh(1.0),
+            200,
+            0.0,
+            seed=1,
         )
-        corr = estimate_correlation(snaps, band)
-        sub = snaps.spectra[:, :, band]
-        m = 6
-        naive = np.array(
-            [
-                np.sum(sub[:, lag:, :] * np.conj(sub[:, : m - lag, :]))
-                / (4 * len(band) * (m - lag))
-                for lag in range(m)
-            ]
-        )
-        assert np.abs(corr.values - naive).max() < 1e-12 * np.abs(naive).max()
+        tracemalloc.start()
+        try:
+            estimate_correlation(snaps, band)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < snaps.bins.nbytes / 4
 
     def test_two_sided_hermitian_exact(self):
         corr = CorrelationSequence(

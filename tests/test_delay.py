@@ -83,6 +83,24 @@ class TestBeamform:
         ratio = leak[strong] / (gain * spec.magnitude[strong])
         assert 0.5 < ratio.max() <= 2.0
 
+    def test_matches_per_snapshot_reference(self, keyed_pulse):
+        _, wave, _ = keyed_pulse
+        snaps = synthesize(
+            wave,
+            [PathParam(-30.0, 2.0), PathParam(5.0, -1.5), PathParam(40.0, 6.25)],
+            ArrayConfig(16, 0.5),
+            FadingModel.rayleigh(1.0),
+            7,
+            1.0,
+            seed=5,
+        )
+        sines = np.sin(np.radians([-29.0, 5.5, 41.0]))
+        bf = beamform(snaps, sines)
+        weights = np.exp(-2j * np.pi * 0.5 * np.outer(sines, np.arange(16))) / 16
+        ref = np.stack([np.einsum("lk,kn->ln", weights, x) for x in snaps.spectra])
+        assert bf.values.shape == ref.shape == (7, 3, len(wave))
+        assert np.abs(bf.values - ref).max() < 1e-13 * np.abs(ref).max()
+
     def test_validation(self, keyed_pulse):
         _, wave, _ = keyed_pulse
         snaps = single_path_snaps(wave, 0.0, 0.0, sensors=4)
