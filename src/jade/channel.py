@@ -31,6 +31,10 @@ __all__ = [
 
 DATASET_MAGIC = "JADE1"
 
+# Noise is drawn into about this many (bin, sensor-vector) rows at a time,
+# 1 MB at 64 sensors, so the block is still in cache when the signal is added.
+NOISE_ROWS = 1024
+
 
 @dataclass
 class ArrayConfig:
@@ -149,24 +153,26 @@ class FadingModel:
         if self.kind == "suzuki" and self.std_db < 0:
             raise ValidationError(f"std_db must be >= 0, got {self.std_db}")
 
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` i.i.d. fading coefficients."""
+    def draw(self, rng: np.random.Generator, shape: int | tuple) -> np.ndarray:
+        """Draw i.i.d. fading coefficients of ``shape`` (a count or a tuple).
+
+        Every kind is built from standard normals only, k per coefficient
+        and laid out last, so a (snapshot, path) draw is snapshot-major and
+        a draw of fewer snapshots is a prefix of a draw of more.
+        """
         self.validate()
         if self.kind == "deterministic":
-            return np.full(count, self.beta, dtype=complex)
-        if self.kind == "rayleigh":
-            return self.sigma * (
-                rng.standard_normal(count) + 1j * rng.standard_normal(count)
-            )
+            return np.full(shape, self.beta, dtype=complex)
+        k = {"rayleigh": 2, "rician": 4, "suzuki": 3}[self.kind]
+        z = rng.standard_normal((*np.atleast_1d(shape), k))
+        scatter = self.sigma * (z[..., 0] + 1j * z[..., 1])
         if self.kind == "rician":
-            scatter = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-            phase = rng.uniform(0.0, 2.0 * np.pi, count)
-            return (self.nu + self.sigma * scatter) * np.exp(1j * phase)
-        # suzuki
-        amplitude = rng.rayleigh(self.sigma, count)
-        shadow = 10.0 ** (rng.normal(self.mean_db, self.std_db, count) / 20.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi, count)
-        return amplitude * shadow * np.exp(1j * phase)
+            # the phase of a circular Gaussian is exactly uniform
+            u = z[..., 2] + 1j * z[..., 3]
+            return (self.nu + scatter) * (u / np.abs(u))
+        if self.kind == "suzuki":
+            return scatter * 10.0 ** ((self.mean_db + self.std_db * z[..., 2]) / 20.0)
+        return scatter
 
     def mean_square(self) -> float:
         """E|beta|^2 for this model (used by closed-form power checks)."""
@@ -236,13 +242,6 @@ def steering_vector(arr: ArrayConfig, angle_deg: float) -> np.ndarray:
     return np.exp(2j * np.pi * arr.spacing * k * sin_theta)
 
 
-def _snapshot_rng(seed: int, snapshot: int) -> np.random.Generator:
-    # Per-snapshot substream keyed by (seed, snapshot index): snapshot s is
-    # the same whatever the snapshot count, so a shorter run is a prefix of
-    # a longer one with the same seed.
-    return np.random.default_rng(np.random.SeedSequence([seed, snapshot]))
-
-
 def delayed_pulse_spectrum(pulse_values: np.ndarray, delay: float) -> np.ndarray:
     """Spectrum of the pulse delayed by ``delay`` samples (circular shift)."""
     n = len(pulse_values)
@@ -266,8 +265,10 @@ def synthesize(
     Delays enter as exp(-j*omega*delay), so they may be fractional or
     negative, matching the estimator's convention. Noise, when requested,
     is circular complex white Gaussian with variance ``noise_var`` per time
-    sample, drawn in time after the snapshot's fading draws and then
-    transformed. The output is fully reproducible from ``seed``.
+    sample. Fading is drawn from the stream ``default_rng([seed, 0])`` and
+    noise from ``default_rng([seed, 1])``, each in snapshot order with a
+    fixed count per snapshot, so a shorter run is a prefix of a longer one
+    with the same seed, and ``betas`` do not depend on ``noise_var``, M or N.
     """
     arr.validate()
     fading.validate()
@@ -288,14 +289,21 @@ def synthesize(
     delayed = np.column_stack([delayed_pulse_spectrum(pulse.values, p.delay) for p in paths])
     steering = np.array([steering_vector(arr, p.angle_deg) for p in paths])
 
-    rngs = [_snapshot_rng(seed, s) for s in range(num_snapshots)]
-    betas = np.array([fading.draw(rng, len(paths)) for rng in rngs])
-    bins = delayed @ (betas[:, :, None] * steering)
-    if noise_var > 0:
-        scale = np.sqrt(noise_var / 2.0)
-        for s, rng in enumerate(rngs):
-            noise = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            bins[s] += scale * np.fft.fft(noise, axis=-1).T
+    betas = fading.draw(np.random.default_rng([seed, 0]), (num_snapshots, len(paths)))
+    coef = betas[:, :, None] * steering
+    if noise_var == 0:
+        bins = delayed @ coef
+    else:
+        # The DFT of white CN(0, noise_var) samples is white CN(0, N * noise_var)
+        # per bin, so noise is drawn straight into the spectra, a block at a time.
+        bins = np.empty((num_snapshots, n, m), dtype=complex)
+        noise_rng = np.random.default_rng([seed, 1])
+        step = max(1, NOISE_ROWS // n)
+        for start in range(0, num_snapshots, step):
+            chunk = bins[start:start + step]
+            noise_rng.standard_normal(out=chunk.view(float))
+            chunk *= np.sqrt(n * noise_var / 2.0)
+            chunk += delayed @ coef[start:start + step]
 
     return SnapshotSet(
         bins=bins,

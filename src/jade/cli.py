@@ -28,6 +28,7 @@ from .exceptions import EstimationError, ValidationError
 from .pulse import generate_pulse, spectrum
 from .channel import load_dataset, save_dataset, synthesize
 from .pipeline import (
+    FADING_KEYS,
     ScenarioConfig,
     default_scenario,
     estimate,
@@ -142,7 +143,9 @@ def _load_scenario(args) -> ScenarioConfig:
             raise ValidationError(f"--set expects key=value, got {item!r}")
         overrides[key.strip()] = value.strip()
     if overrides:
-        merged = cfg.to_dict()
+        # echoed parameters of the base fading kind do not carry over to another kind
+        kind = overrides.get("fading", cfg.fading.kind).lower()
+        merged = {k: v for k, v in cfg.to_dict().items() if kind in FADING_KEYS.get(k, (kind,))}
         merged.update(overrides)
         cfg = scenario_from_dict(merged)
     if getattr(args, "seed", None) is not None:

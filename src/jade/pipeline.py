@@ -39,6 +39,10 @@ __all__ = [
 
 CONFIG_SCHEMA = 1
 REPORT_SCHEMA = "jade-report/1"
+# Fading parameters and the kinds that use them; any other kind rejects them.
+FADING_KEYS = {"beta_re": ("deterministic",), "beta_im": ("deterministic",),
+               "sigma": ("rayleigh", "rician", "suzuki"), "nu": ("rician",),
+               "mean_db": ("suzuki",), "std_db": ("suzuki",)}
 
 
 @dataclass
@@ -128,16 +132,10 @@ class ScenarioConfig:
             out["bits"] = "".join(str(int(b)) for b in np.asarray(cfg.pulse.bits))
         else:
             out["bits_seed"] = cfg.pulse.bits_seed
-        if cfg.fading.kind == "deterministic":
-            out["beta_re"] = cfg.fading.beta.real
-            out["beta_im"] = cfg.fading.beta.imag
-        if cfg.fading.kind in ("rayleigh", "rician", "suzuki"):
-            out["sigma"] = cfg.fading.sigma
-        if cfg.fading.kind == "rician":
-            out["nu"] = cfg.fading.nu
-        if cfg.fading.kind == "suzuki":
-            out["mean_db"] = cfg.fading.mean_db
-            out["std_db"] = cfg.fading.std_db
+        fm = cfg.fading
+        params = {"beta_re": fm.beta.real, "beta_im": fm.beta.imag, "sigma": fm.sigma,
+                  "nu": fm.nu, "mean_db": fm.mean_db, "std_db": fm.std_db}
+        out.update((k, v) for k, v in params.items() if fm.kind in FADING_KEYS[k])
         if cfg.prony.prediction_order is not None:
             out["prediction_order"] = cfg.prony.prediction_order
         if cfg.prony.rank is not None:
@@ -229,22 +227,19 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     paths = [PathParam(angle_deg=a, delay=d) for a, d in zip(angles, delays)]
 
     kind = str(get("fading", "rayleigh")).strip().lower()
-    if kind == "deterministic":
-        fading = FadingModel.deterministic(
-            complex(float(get("beta_re", 1.0)), float(get("beta_im", 0.0)))
-        )
-    elif kind == "rayleigh":
-        fading = FadingModel.rayleigh(sigma=float(get("sigma", 1.0)))
-    elif kind == "rician":
-        fading = FadingModel.rician(nu=float(get("nu", 0.0)), sigma=float(get("sigma", 1.0)))
-    elif kind == "suzuki":
-        fading = FadingModel.suzuki(
-            sigma=float(get("sigma", 1.0)),
-            mean_db=float(get("mean_db", 0.0)),
-            std_db=float(get("std_db", 6.0)),
-        )
-    else:
+    if kind not in FadingModel._KINDS:
         raise ValidationError(f"unknown fading kind {kind!r}")
+    for key, kinds in FADING_KEYS.items():
+        if key in raw and kind not in kinds:
+            raise ValidationError(f"{key} is not a parameter of {kind} fading")
+    fading = FadingModel(
+        kind=kind,
+        beta=complex(float(get("beta_re", 1.0)), float(get("beta_im", 0.0))),
+        sigma=float(get("sigma", 1.0)),
+        nu=float(get("nu", 0.0)),
+        mean_db=float(get("mean_db", 0.0)),
+        std_db=float(get("std_db", 6.0 if kind == "suzuki" else 0.0)),
+    )
 
     prony = None
     if any(k in raw for k in ("prediction_order", "rank", "forward_backward")):
@@ -307,7 +302,7 @@ class RunReport:
     clamped: bool
     band_start: int
     band_stop: int
-    slope_per_snapshot: List[List[float]]
+    slope_per_snapshot: np.ndarray
     slope_median: List[float]
     slope_mean: List[float]
     delay_median: List[float]
@@ -334,7 +329,7 @@ class RunReport:
         ):
             value = getattr(self, key)
             if value is not None:
-                out[key] = value
+                out[key] = value.tolist() if isinstance(value, np.ndarray) else value
         if include_timing:
             out["timing_s"] = self.timing_s
         return out
@@ -379,7 +374,7 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
         clamped=bool(modes.clamped),
         band_start=int(band[0]),
         band_stop=int(band[-1]),
-        slope_per_snapshot=delays.slope.tolist(),
+        slope_per_snapshot=delays.slope,
         slope_median=np.median(delays.slope, axis=0).tolist(),
         slope_mean=np.mean(delays.slope, axis=0).tolist(),
         delay_median=delays.delay_median.tolist(),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from jade import (
     steering_vector,
     synthesize,
 )
-from jade.channel import _snapshot_rng, delayed_pulse_spectrum
+from jade.channel import NOISE_ROWS, delayed_pulse_spectrum
 
 from test_pulse import zero_bit_cfg
 
@@ -20,6 +22,15 @@ from test_pulse import zero_bit_cfg
 @pytest.fixture(scope="module")
 def pulse_wave():
     return generate_pulse(zero_bit_cfg())
+
+
+RANDOM_FADING = {
+    "rayleigh": FadingModel.rayleigh(1.0),
+    "rician": FadingModel.rician(nu=1.0, sigma=0.5),
+    "suzuki": FadingModel.suzuki(sigma=1.0, mean_db=0.0, std_db=6.0),
+}
+ALL_FADING = {"deterministic": FadingModel.deterministic(0.5 - 0.25j), **RANDOM_FADING}
+TWO_PATHS = [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)]
 
 
 def one_path_snaps(pulse, angle_deg=0.0, delay=0.0, sensors=8, snapshots=1):
@@ -112,30 +123,101 @@ class TestSynthesize:
         assert err < 1e-10
 
     def test_matches_time_domain_construction(self, pulse_wave):
-        # Reference: each snapshot built in the time domain from its own
-        # substream (fading draws, then noise), then transformed.
+        # Reference: the signal built in time from the documented fading
+        # stream default_rng([seed, 0]) (Rician: four normals per coefficient),
+        # transformed, plus sqrt(N * noise_var / 2) * (z0 + j z1) per
+        # (snapshot, bin, sensor) from the noise stream default_rng([seed, 1]).
         paths = [PathParam(-10.0, 3.0), PathParam(25.0, -4.5)]
         arr = ArrayConfig(6, 0.5)
-        fading = FadingModel.rician(nu=1.0, sigma=0.5)
+        nu, sigma = 1.0, 0.5
         seed, count, noise_var = 9, 7, 0.3
-        n = len(pulse_wave)
+        n, m = len(pulse_wave), arr.num_sensors
         delayed = np.array(
             [np.fft.ifft(delayed_pulse_spectrum(pulse_wave.values, p.delay)) for p in paths]
         )
         steering = np.column_stack([steering_vector(arr, p.angle_deg) for p in paths])
-        data = np.empty((count, arr.num_sensors, n), dtype=complex)
-        betas = np.empty((count, len(paths)), dtype=complex)
-        for s in range(count):
-            rng = _snapshot_rng(seed, s)
-            betas[s] = fading.draw(rng, len(paths))
-            shape = (arr.num_sensors, n)
-            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            data[s] = (steering * betas[s]) @ delayed + np.sqrt(noise_var / 2.0) * noise
-        ref = np.fft.fft(data, axis=-1)
+        z = np.random.default_rng([seed, 0]).standard_normal((count, len(paths), 4))
+        u = z[..., 2] + 1j * z[..., 3]
+        betas = (nu + sigma * (z[..., 0] + 1j * z[..., 1])) * (u / np.abs(u))
+        data = (steering * betas[:, None, :]) @ delayed
+        z = np.random.default_rng([seed, 1]).standard_normal((count, n, m, 2))
+        noise = np.sqrt(n * noise_var / 2.0) * (z[..., 0] + 1j * z[..., 1])
+        ref = np.fft.fft(data, axis=-1) + noise.transpose(0, 2, 1)
 
+        fading = FadingModel.rician(nu=nu, sigma=sigma)
         snaps = synthesize(pulse_wave, paths, arr, fading, count, noise_var, seed=seed)
         assert np.array_equal(snaps.betas, betas)
         assert np.abs(snaps.spectra - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", sorted(ALL_FADING))
+    def test_prefix_stable_for_every_fading_kind(self, pulse_wave, kind):
+        # noise is drawn a block of snapshots at a time; the longer run
+        # crosses a block boundary that the shorter ones do not
+        step = NOISE_ROWS // len(pulse_wave)
+        kw = dict(paths=TWO_PATHS, arr=ArrayConfig(4, 0.5), fading=ALL_FADING[kind],
+                  noise_var=0.2, seed=13)
+        full = synthesize(pulse_wave, num_snapshots=step + 3, **kw)
+        for count in (1, 3, step + 1):
+            part = synthesize(pulse_wave, num_snapshots=count, **kw)
+            assert np.array_equal(part.betas, full.betas[:count])
+            assert np.array_equal(part.bins, full.bins[:count])
+
+    @pytest.mark.parametrize("kind", sorted(RANDOM_FADING))
+    def test_betas_do_not_depend_on_noise_or_array_size(self, pulse_wave, kind):
+        betas = [
+            synthesize(pulse_wave, TWO_PATHS, ArrayConfig(m, 0.5), RANDOM_FADING[kind], 6,
+                       noise_var, seed=4).betas
+            for noise_var in (0.0, 1.0) for m in (4, 16)
+        ]
+        for other in betas[1:]:
+            assert np.array_equal(other, betas[0])
+
+    def test_pure_noise_moments(self, pulse_wave):
+        # beta = 0 leaves only noise: white circular CN(0, N * noise_var) per
+        # bin, CN(0, noise_var) per time sample
+        n, noise_var = len(pulse_wave), 0.7
+        snaps = synthesize(pulse_wave, TWO_PATHS, ArrayConfig(8, 0.5),
+                           FadingModel.deterministic(0.0), 400, noise_var, seed=21)
+        bins = snaps.bins / np.sqrt(n * noise_var)
+        assert abs(bins.mean()) < 0.01
+        assert np.mean(np.abs(bins) ** 2) == pytest.approx(1.0, rel=0.01)
+        per_bin = np.mean(np.abs(bins) ** 2, axis=(0, 2))
+        assert np.all(np.abs(per_bin - 1.0) < 0.1)
+        assert abs(np.mean(bins**2)) < 0.01  # circular
+        assert abs(np.mean(bins[:, 1:] * bins[:, :-1].conj())) < 0.01  # adjacent bins
+        assert abs(np.mean(bins[:, :, 1:] * bins[:, :, :-1].conj())) < 0.01  # adjacent sensors
+        assert np.mean(np.abs(snaps.data) ** 2) == pytest.approx(noise_var, rel=0.01)
+
+    def test_noisy_synthesis_holds_one_snapshot_array(self, pulse_wave):
+        args = (pulse_wave, TWO_PATHS, ArrayConfig(64, 0.5), FadingModel.rayleigh(1.0), 200, 1.0)
+        synthesize(*args, seed=1)  # warm up
+        tracemalloc.start()
+        try:
+            snaps = synthesize(*args, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * snaps.bins.nbytes
+
+    def test_stream_pinned(self, pulse_wave):
+        # first two betas of seed 1 for each kind, and the first noise bin;
+        # a change here is a change of the random stream
+        pinned = {
+            "rayleigh": [0.345584192064786 + 0.8216181435011584j,
+                         0.33043707618338714 - 1.303157231604361j],
+            "rician": [0.6864651939801117 - 1.0358431017304086j,
+                       -1.1497776242107722 + 0.9154764647878701j],
+            "suzuki": [0.4341951732963765 + 1.0322886300715246j,
+                       -1.773818541076477 + 1.2323432534691272j],
+        }
+        arr = ArrayConfig(4, 0.5)
+        for kind, expected in pinned.items():
+            betas = synthesize(pulse_wave, TWO_PATHS, arr, RANDOM_FADING[kind], 1, seed=1).betas
+            np.testing.assert_allclose(betas[0], expected, rtol=1e-12, atol=0)
+        snaps = synthesize(pulse_wave, TWO_PATHS, arr, FadingModel.deterministic(0.0), 1, 1.0, seed=1)
+        assert len(pulse_wave) == 128
+        np.testing.assert_allclose(snaps.bins[0, 0, 0], 4.266831027079575 + 9.937965423732352j,
+                                   rtol=1e-12, atol=0)
 
     def test_holds_one_snapshot_array_until_data_is_read(self, pulse_wave):
         snaps = synthesize(
@@ -247,6 +329,22 @@ class TestFadingModel:
         rng = np.random.default_rng(4)
         b = FadingModel.deterministic(0.5 - 0.25j).draw(rng, 10)
         assert np.all(b == 0.5 - 0.25j)
+
+    @pytest.mark.parametrize("kind", sorted(RANDOM_FADING))
+    def test_snapshot_path_draw_moments(self, kind):
+        # a (snapshot, path) draw: zero mean, the closed-form power on every
+        # path, and no correlation across paths or adjacent snapshots
+        fm = RANDOM_FADING[kind]
+        b = fm.draw(np.random.default_rng(5), (100_000, 3))
+        assert b.shape == (100_000, 3)
+        power = fm.mean_square()
+        assert np.all(np.abs(b.mean(axis=0)) < 0.02 * np.sqrt(power))
+        assert np.mean(np.abs(b) ** 2, axis=0) == pytest.approx([power] * 3, rel=0.05)
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            assert abs(np.mean(b[:, i] * b[:, j].conj())) < 0.02 * power
+        assert np.all(np.abs(np.mean(b[1:] * b[:-1].conj(), axis=0)) < 0.02 * power)
+        # the phase is uniform: E[beta^2] vanishes, as for a circular law
+        assert abs(np.mean(b**2)) < 0.02 * power
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -195,6 +195,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize(
+        "settings",
+        [["nu=5"], ["fading=deterministic", "sigma=2"]],
+        ids=["nu-with-rayleigh", "sigma-with-deterministic"],
+    )
+    def test_parameter_the_fading_kind_ignores_is_2(self, capsys, settings):
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        assert main(["run", *SMALL, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not a parameter of" in captured.err
+
+    def test_set_fading_kind_drops_the_old_kinds_parameters(self, capsys):
+        # the default echo carries Rayleigh's sigma; switching kind must not trip on it
+        assert main(["run", *SMALL, "--set", "fading=deterministic"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["fading"] == "deterministic"
+
     def test_estimation_failure_is_3(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise EstimationError("prony", "injected")

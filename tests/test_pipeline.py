@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +91,26 @@ class TestRunPipeline:
         echoed = scenario_from_dict(json.loads(report.to_json())["config"])
         again = run_pipeline(echoed)
         assert again.to_json() == report.to_json()
+
+    def test_slopes_kept_as_one_array(self):
+        report = run_pipeline(small_scenario())
+        assert isinstance(report.slope_per_snapshot, np.ndarray)
+        assert report.slope_per_snapshot.shape == (20, 2)
+        emitted = json.loads(report.to_json())["slope_per_snapshot"]
+        assert emitted == report.slope_per_snapshot.tolist()
+
+    def test_retained_report_is_small(self):
+        # a caller that keeps many reports (a benchmark loop, a sweep) keeps
+        # only what a report holds once its artifacts are dropped
+        run_pipeline(default_scenario())  # warm up
+        tracemalloc.start()
+        try:
+            report = run_pipeline(default_scenario())
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.artifacts is None
+        assert held < 10_000
 
     def test_artifacts_only_on_request(self):
         cfg = small_scenario()
@@ -226,6 +247,22 @@ class TestConfigHandling:
             assert cfg.fading.kind == kind
             again = scenario_from_dict(cfg.to_dict())
             assert again.fading == cfg.fading
+
+    def test_fading_defaults_match_the_model_constructors(self):
+        assert scenario_from_dict({"fading": "deterministic"}).fading == FadingModel.deterministic()
+        assert scenario_from_dict({"fading": "rayleigh"}).fading == FadingModel.rayleigh()
+        assert scenario_from_dict({"fading": "rician"}).fading == FadingModel.rician(0.0, 1.0)
+        assert scenario_from_dict({"fading": "suzuki"}).fading == FadingModel.suzuki()
+
+    @pytest.mark.parametrize(
+        "kind,key",
+        [("rayleigh", "nu"), ("suzuki", "nu"), ("rayleigh", "mean_db"), ("rician", "std_db"),
+         ("rayleigh", "beta_re"), ("suzuki", "beta_im"), ("deterministic", "sigma"),
+         ("deterministic", "nu")],
+    )
+    def test_parameter_of_another_fading_kind_rejected(self, kind, key):
+        with pytest.raises(ValidationError, match=f"{key} is not a parameter of {kind} fading"):
+            scenario_from_dict({"fading": kind, key: 1.0})
 
     def test_scenario_validation(self):
         cfg = replace(default_scenario(), num_snapshots=0)
