@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,12 +27,10 @@ from .exceptions import EstimationError, ValidationError
 from .pulse import generate_pulse, spectrum
 from .channel import load_dataset, save_dataset, synthesize
 from .pipeline import (
-    FADING_KEYS,
     ScenarioConfig,
-    default_scenario,
     estimate,
-    load_config,
     monte_carlo,
+    read_config,
     run_pipeline,
     scenario_from_dict,
 )
@@ -135,24 +132,18 @@ def _emit_report(args, report, include_timing: bool = False) -> None:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    cfg = load_config(args.config) if args.config else default_scenario()
-    overrides = {}
+    """One key map, later sources winning: config file, ``--set``, flags."""
+    raw = read_config(args.config) if args.config else {}
     for item in args.set or []:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValidationError(f"--set expects key=value, got {item!r}")
-        overrides[key.strip()] = value.strip()
-    if overrides:
-        # echoed parameters of the base fading kind do not carry over to another kind
-        kind = overrides.get("fading", cfg.fading.kind).lower()
-        merged = {k: v for k, v in cfg.to_dict().items() if kind in FADING_KEYS.get(k, (kind,))}
-        merged.update(overrides)
-        cfg = scenario_from_dict(merged)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "snapshots", None) is not None:
-        cfg = replace(cfg, num_snapshots=args.snapshots)
-    return cfg
+        raw[key.strip()] = value.strip()
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    if args.snapshots is not None:
+        raw["snapshots"] = args.snapshots
+    return scenario_from_dict(raw)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -34,6 +34,7 @@ __all__ = [
     "run_pipeline",
     "monte_carlo",
     "load_config",
+    "read_config",
     "scenario_from_dict",
 ]
 
@@ -43,6 +44,10 @@ REPORT_SCHEMA = "jade-report/1"
 FADING_KEYS = {"beta_re": ("deterministic",), "beta_im": ("deterministic",),
                "sigma": ("rayleigh", "rician", "suzuki"), "nu": ("rician",),
                "mean_db": ("suzuki",), "std_db": ("suzuki",)}
+# Config keys a run on given snapshots reads; the others describe their synthesis.
+ESTIMATE_KEYS = ("schema", "rolloff", "carrier_freq", "symbols", "oversample", "bits",
+                 "bits_seed", "sensors", "spacing", "snapshots", "band_threshold",
+                 "forward_backward", "weighted_fit", "prediction_order", "rank", "seed")
 
 
 @dataclass
@@ -61,18 +66,18 @@ class PipelineArtifacts:
 
 @dataclass
 class ScenarioConfig:
-    """Complete synthesis + estimation scenario."""
+    """Complete synthesis + estimation scenario; :func:`scenario_from_dict` has the defaults."""
 
     pulse: PulseConfig
     array: ArrayConfig
     paths: List[PathParam]
     fading: FadingModel
-    num_snapshots: int = 200
-    noise_var: float = 0.0
-    band_threshold: float = 0.1
-    prony: Optional[PronyConfig] = None
-    weighted_fit: bool = False
-    seed: int = 1
+    num_snapshots: int
+    noise_var: float
+    band_threshold: float
+    prony: Optional[PronyConfig]
+    weighted_fit: bool
+    seed: int
 
     def validate(self) -> None:
         self.pulse.validate()
@@ -145,16 +150,7 @@ class ScenarioConfig:
 
 def default_scenario() -> ScenarioConfig:
     """The shipped two-path Rayleigh reference scenario."""
-    return ScenarioConfig(
-        pulse=PulseConfig(rolloff=0.35, carrier_freq=0.25, symbol_count=32, oversample=4),
-        array=ArrayConfig(num_sensors=64, spacing=0.5),
-        paths=[PathParam(angle_deg=-10.0, delay=3.0), PathParam(angle_deg=20.0, delay=7.0)],
-        fading=FadingModel.rayleigh(sigma=1.0),
-        num_snapshots=200,
-        noise_var=0.0,
-        band_threshold=0.1,
-        seed=1,
-    )
+    return scenario_from_dict({})
 
 
 _TRUTHY = {"1", "true", "yes", "on"}
@@ -189,7 +185,10 @@ _KNOWN_KEYS = {
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a scenario from a flat key/value mapping (config file or echo)."""
+    """Build a scenario from a flat key/value mapping (config file or echo).
+
+    Every key is optional; the shipped defaults are stated here only.
+    """
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -198,9 +197,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             f"unsupported config schema {raw['schema']} (expected {CONFIG_SCHEMA})"
         )
 
-    def get(key, default=None):
-        return raw[key] if key in raw else default
-
     bits = None
     if "bits" in raw:
         bit_str = str(raw["bits"]).strip()
@@ -208,25 +204,25 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             raise ValidationError(f"bits must be a 0/1 string, got {raw['bits']!r}")
         bits = [int(ch) for ch in bit_str]
     pulse = PulseConfig(
-        rolloff=float(get("rolloff", 0.35)),
-        carrier_freq=float(get("carrier_freq", 0.25)),
-        symbol_count=int(get("symbols", 32)),
-        oversample=int(get("oversample", 4)),
+        rolloff=float(raw.get("rolloff", 0.35)),
+        carrier_freq=float(raw.get("carrier_freq", 0.25)),
+        symbol_count=int(raw.get("symbols", 32)),
+        oversample=int(raw.get("oversample", 4)),
         bits=bits,
         bits_seed=int(raw["bits_seed"]) if "bits_seed" in raw else None,
     )
     array = ArrayConfig(
-        num_sensors=int(get("sensors", 64)), spacing=float(get("spacing", 0.5))
+        num_sensors=int(raw.get("sensors", 64)), spacing=float(raw.get("spacing", 0.5))
     )
-    angles = _parse_float_list("angles_deg", get("angles_deg", [-10.0, 20.0]))
-    delays = _parse_float_list("delays", get("delays", [3.0, 7.0]))
+    angles = _parse_float_list("angles_deg", raw.get("angles_deg", [-10.0, 20.0]))
+    delays = _parse_float_list("delays", raw.get("delays", [3.0, 7.0]))
     if len(angles) != len(delays):
         raise ValidationError(
             f"angles_deg ({len(angles)}) and delays ({len(delays)}) differ in length"
         )
     paths = [PathParam(angle_deg=a, delay=d) for a, d in zip(angles, delays)]
 
-    kind = str(get("fading", "rayleigh")).strip().lower()
+    kind = str(raw.get("fading", "rayleigh")).strip().lower()
     if kind not in FadingModel._KINDS:
         raise ValidationError(f"unknown fading kind {kind!r}")
     for key, kinds in FADING_KEYS.items():
@@ -234,11 +230,11 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             raise ValidationError(f"{key} is not a parameter of {kind} fading")
     fading = FadingModel(
         kind=kind,
-        beta=complex(float(get("beta_re", 1.0)), float(get("beta_im", 0.0))),
-        sigma=float(get("sigma", 1.0)),
-        nu=float(get("nu", 0.0)),
-        mean_db=float(get("mean_db", 0.0)),
-        std_db=float(get("std_db", 6.0 if kind == "suzuki" else 0.0)),
+        beta=complex(float(raw.get("beta_re", 1.0)), float(raw.get("beta_im", 0.0))),
+        sigma=float(raw.get("sigma", 1.0)),
+        nu=float(raw.get("nu", 0.0)),
+        mean_db=float(raw.get("mean_db", 0.0)),
+        std_db=float(raw.get("std_db", 6.0 if kind == "suzuki" else 0.0)),
     )
 
     prony = None
@@ -257,17 +253,17 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         array=array,
         paths=paths,
         fading=fading,
-        num_snapshots=int(get("snapshots", 200)),
-        noise_var=float(get("noise_var", 0.0)),
-        band_threshold=float(get("band_threshold", 0.1)),
+        num_snapshots=int(raw.get("snapshots", 200)),
+        noise_var=float(raw.get("noise_var", 0.0)),
+        band_threshold=float(raw.get("band_threshold", 0.1)),
         prony=prony,
         weighted_fit=weighted if isinstance(weighted, bool) else _parse_bool("weighted_fit", weighted),
-        seed=int(get("seed", 1)),
+        seed=int(raw.get("seed", 1)),
     )
 
 
-def load_config(path) -> ScenarioConfig:
-    """Parse a flat ``key = value`` config file (# starts a comment)."""
+def read_config(path) -> dict:
+    """The raw keys of a flat ``key = value`` config file (# starts a comment)."""
     raw: dict = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -278,7 +274,12 @@ def load_config(path) -> ScenarioConfig:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
             raw[key.strip()] = value.strip()
-    return scenario_from_dict(raw)
+    return raw
+
+
+def load_config(path) -> ScenarioConfig:
+    """The scenario of a flat ``key = value`` config file."""
+    return scenario_from_dict(read_config(path))
 
 
 @dataclass
@@ -352,9 +353,10 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
 
     Stages: pulse spectrum, band selection, spatial correlation, SVD Prony
     (angles), beamforming, phase slope fit (delays). ``cfg`` must be
-    resolved; only its estimation settings are read. Any stage failure is
-    reported with the stage name. The report carries no truth fields and
-    keeps the stage outputs in ``artifacts``.
+    resolved; only its estimation settings are read, and only those (the
+    ``ESTIMATE_KEYS``, with the array and snapshot count of ``snaps``) are
+    echoed. Any stage failure is reported with the stage name. The report
+    carries no truth fields and keeps the stage outputs in ``artifacts``.
     """
     started = time.perf_counter()
     pulse_spec = _stage("spectrum", spectrum, pulse_wave, cfg.band_threshold)
@@ -363,8 +365,10 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
     modes = _stage("prony", svd_prony, corr, cfg.prony)
     beams = _stage("beamform", beamform, snaps, modes.sines)
     delays = _stage("fit_delay", fit_delay, beams, pulse_spec, band, cfg.weighted_fit)
+    echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
+                snapshots=snaps.num_snapshots)
     return RunReport(
-        config=cfg.to_dict(),
+        config={k: v for k, v in echo.items() if k in ESTIMATE_KEYS},
         seed=cfg.seed,
         sines_est=modes.sines.tolist(),
         angles_est_deg=modes.angles_deg.tolist(),
@@ -419,6 +423,7 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
     delays_true = [cfg.paths[i].delay for i in order]
     return replace(
         report,
+        config=cfg.to_dict(),
         angles_true_deg=angles_true,
         delays_true=delays_true,
         angle_errors_deg=(np.asarray(report.angles_est_deg) - angles_true).tolist(),

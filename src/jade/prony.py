@@ -180,12 +180,8 @@ def svd_prony(corr: CorrelationSequence, cfg: PronyConfig) -> ModeEstimate:
             f"(roots: {np.round(roots, 4).tolist()})",
         )
 
-    # Rank by distance from the unit circle; break ties toward the candidate
-    # carrying more fitted energy in a joint least-squares fit.
-    lags = np.arange(-(corr.num_lags - 1), corr.num_lags)
-    cand_modes = np.exp(1j * np.outer(lags, np.angle(candidates)))
-    cand_amp, *_ = np.linalg.lstsq(cand_modes, two_sided, rcond=None)
-    order_idx = np.lexsort((-np.abs(cand_amp), np.abs(1.0 - np.abs(candidates))))
+    # Rank by distance from the unit circle; exact ties keep root order.
+    order_idx = np.argsort(np.abs(1.0 - np.abs(candidates)), kind="stable")
     selected = candidates[order_idx[: cfg.num_modes]]
 
     phase_inc = np.angle(selected)
@@ -207,6 +203,7 @@ def svd_prony(corr: CorrelationSequence, cfg: PronyConfig) -> ModeEstimate:
     sines_c = np.clip(sines, -1.0, 1.0)
     angles_deg = np.degrees(np.arcsin(sines_c))
 
+    lags = np.arange(-(corr.num_lags - 1), corr.num_lags)
     modes = np.exp(1j * np.outer(lags, np.angle(selected)))
     amp, *_ = np.linalg.lstsq(modes, two_sided, rcond=None)
     amp_scale = max(np.abs(amp).max(), np.finfo(float).tiny)

@@ -166,6 +166,67 @@ class TestConfigEcho:
             assert again.resolved() == cfg.resolved(), fading
 
 
+class TestScenarioKeys:
+    """The CLI builds one key map: config file, then --set, then --seed/--snapshots."""
+
+    def test_set_does_not_freeze_the_pulse_seed(self, capsys):
+        outputs = []
+        for args in (["--seed", "5"], ["--set", "seed=5"], ["--seed", "5", "--set", "sensors=64"]):
+            assert main(["run", "--snapshots", "10", *args]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        assert json.loads(outputs[0])["config"]["bits_seed"] == 5
+
+    def test_echo_round_trips_through_file_and_set(self, tmp_path, capsys):
+        scenario = ["--set", "fading=rician", "--set", "nu=1", "--set", "angles_deg=-40,0,25",
+                    "--set", "delays=-2.5,1.25,6.75", "--set", "sensors=16", "--seed", "3",
+                    "--snapshots", "10"]
+        assert main(["run", *scenario]) == 0
+        first = capsys.readouterr().out
+        values = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
+                  for k, v in json.loads(first)["config"].items()}
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == first
+        assert main(["run", *[a for k, v in values.items() for a in ("--set", f"{k}={v}")]]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_flags_override_set_override_file(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("sensors = 16\nsnapshots = 10\nseed = 2\n")
+        assert main(["run", "--config", str(cfg), "--set", "seed=4", "--seed", "9"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["seed"] == 9
+        assert report["config"]["seed"] == 9
+        assert report["config"]["bits_seed"] == 9
+
+    def test_set_fading_kind_keeps_the_files_parameters(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("sensors = 16\nsnapshots = 10\nfading = rician\nnu = 1\n")
+        assert main(["run", "--config", str(cfg), "--set", "fading=rayleigh"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nu is not a parameter of rayleigh fading" in captured.err
+
+    def test_estimate_echoes_only_what_it_used(self, tmp_path, capsys):
+        data = tmp_path / "snaps.txt"
+        scenario = ["--set", "angles_deg=0,40", "--set", "delays=2,5", "--set", "sensors=8"]
+        assert main(["simulate", *scenario, "--snapshots", "5", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--snapshots", "5", "--data", str(data)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert np.allclose(report["angles_est_deg"], [0.0, 40.0], atol=0.1)
+        config = report["config"]
+        for key in ("angles_deg", "delays", "fading", "sigma", "noise_var"):
+            assert key not in config
+        assert config["sensors"] == 8
+        assert config["spacing"] == 0.5
+        assert config["snapshots"] == 5
+        assert config["bits_seed"] == 1 and config["seed"] == 1
+
+
 class TestMonteCarloCommand:
     def test_writes_aggregates(self, tmp_path):
         code = main(["montecarlo", *SMALL, "--trials", "3", "--out", str(tmp_path)])
@@ -208,7 +269,7 @@ class TestExitCodes:
         assert "is not a parameter of" in captured.err
 
     def test_set_fading_kind_drops_the_old_kinds_parameters(self, capsys):
-        # the default echo carries Rayleigh's sigma; switching kind must not trip on it
+        # Rayleigh's sigma is a default, not a setting; switching kind must not trip on it
         assert main(["run", *SMALL, "--set", "fading=deterministic"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["fading"] == "deterministic"
 

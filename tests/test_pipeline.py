@@ -179,9 +179,15 @@ class TestMonteCarlo:
 
 class TestConfigHandling:
     def test_defaults_match_shipped_scenario(self):
-        cfg = scenario_from_dict({})
-        ref = default_scenario()
-        assert cfg.to_dict() == ref.to_dict()
+        # the defaults of the README's config table
+        assert default_scenario().to_dict() == {
+            "schema": 1, "rolloff": 0.35, "carrier_freq": 0.25, "symbols": 32,
+            "oversample": 4, "bits_seed": 1, "sensors": 64, "spacing": 0.5,
+            "angles_deg": [-10.0, 20.0], "delays": [3.0, 7.0], "fading": "rayleigh",
+            "sigma": 1.0, "snapshots": 200, "noise_var": 0.0, "band_threshold": 0.1,
+            "forward_backward": False, "weighted_fit": False, "seed": 1,
+        }
+        assert default_scenario().resolved().prony == PronyConfig(num_modes=2)
 
     def test_load_config_file(self, tmp_path):
         text = """
