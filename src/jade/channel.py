@@ -31,8 +31,8 @@ __all__ = [
 
 DATASET_MAGIC = "JADE1"
 
-# Noise is drawn into about this many (bin, sensor-vector) rows at a time,
-# 1 MB at 64 sensors, so the block is still in cache when the signal is added.
+# Noise is drawn about this many (snapshot, bin) sensor vectors at a time, 1 MB
+# at 64 sensors, so a block is still in cache when it is written into ``bins``.
 NOISE_ROWS = 1024
 
 
@@ -191,8 +191,8 @@ class FadingModel:
 class SnapshotSet:
     """Synthesized (or loaded) array snapshots, stored as per-sensor spectra.
 
-    ``bins`` is indexed (snapshot, frequency bin, sensor), so the sensor
-    vectors the estimator reads are contiguous; ``spectra`` views it as
+    ``bins`` is C-contiguous (frequency bin, snapshot, sensor), so the sensor
+    vectors of a run of bins are one block; ``spectra`` views it as
     (snapshot, sensor, bin). ``data``, the (snapshot, sensor, time) series,
     is an inverse DFT computed on first read and cached (a loaded dataset
     starts with the parsed series cached). ``paths``/``betas`` retain the
@@ -210,7 +210,7 @@ class SnapshotSet:
 
     @property
     def spectra(self) -> np.ndarray:
-        return self.bins.transpose(0, 2, 1)
+        return self.bins.transpose(1, 2, 0)
 
     @property
     def data(self) -> np.ndarray:
@@ -220,7 +220,7 @@ class SnapshotSet:
 
     @property
     def num_snapshots(self) -> int:
-        return self.bins.shape[0]
+        return self.bins.shape[1]
 
     @property
     def num_sensors(self) -> int:
@@ -228,7 +228,7 @@ class SnapshotSet:
 
     @property
     def num_samples(self) -> int:
-        return self.bins.shape[1]
+        return self.bins.shape[0]
 
 
 def steering_vector(arr: ArrayConfig, angle_deg: float) -> np.ndarray:
@@ -292,18 +292,22 @@ def synthesize(
     betas = fading.draw(np.random.default_rng([seed, 0]), (num_snapshots, len(paths)))
     coef = betas[:, :, None] * steering
     if noise_var == 0:
-        bins = delayed @ coef
+        # one GEMM: (N, L) delayed spectra by (L, S*M) coefficients
+        coef_t = coef.transpose(1, 0, 2).reshape(len(paths), -1)
+        bins = (delayed @ coef_t).reshape(n, num_snapshots, m)
     else:
-        # The DFT of white CN(0, noise_var) samples is white CN(0, N * noise_var)
-        # per bin, so noise is drawn straight into the spectra, a block at a time.
-        bins = np.empty((num_snapshots, n, m), dtype=complex)
+        # The DFT of white CN(0, noise_var) samples is white CN(0, N * noise_var) per
+        # bin; it is drawn in snapshot order into one reused block, stored transposed.
+        bins = np.empty((n, num_snapshots, m), dtype=complex)
         noise_rng = np.random.default_rng([seed, 1])
         step = max(1, NOISE_ROWS // n)
+        chunk = np.empty((min(step, num_snapshots), n, m), dtype=complex)
         for start in range(0, num_snapshots, step):
-            chunk = bins[start:start + step]
-            noise_rng.standard_normal(out=chunk.view(float))
-            chunk *= np.sqrt(n * noise_var / 2.0)
-            chunk += delayed @ coef[start:start + step]
+            block = chunk[: num_snapshots - start]
+            noise_rng.standard_normal(out=block.view(float))
+            block *= np.sqrt(n * noise_var / 2.0)
+            block += delayed @ coef[start:start + len(block)]
+            bins[:, start:start + len(block)] = block.transpose(1, 0, 2)
 
     return SnapshotSet(
         bins=bins,
@@ -389,5 +393,5 @@ def load_dataset(path) -> SnapshotSet:
                     )
                 pairs = np.asarray(cells, dtype=float).reshape(n, 2)
                 data[s, k] = pairs[:, 0] + 1j * pairs[:, 1]
-    bins = np.ascontiguousarray(np.fft.fft(data, axis=-1).transpose(0, 2, 1))
+    bins = np.ascontiguousarray(np.fft.fft(data, axis=-1).transpose(2, 0, 1))
     return SnapshotSet(bins=bins, array=arr, _data=data)

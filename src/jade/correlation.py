@@ -15,14 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .pulse import Spectrum, _positive_band
+from .pulse import Spectrum, _band_slice, _positive_band
 from .channel import SnapshotSet
 
 __all__ = ["CorrelationSequence", "select_band", "estimate_correlation"]
-
-# Sensor vectors per Gram block in estimate_correlation: about 1 MB at 64
-# sensors, so each gathered block stays in cache.
-ROWS = 1024
 
 
 @dataclass
@@ -72,28 +68,22 @@ def estimate_correlation(snaps: SnapshotSet, band: np.ndarray) -> CorrelationSeq
 
     Lag l collects every ordered sensor pair (k, k-l); the estimate at lag
     l therefore averages S * |band| * (M - l) terms. Lag 0 is a mean of
-    squared magnitudes and comes out exactly real and non-negative.
+    squared magnitudes and comes out exactly real and non-negative. The
+    band must be a contiguous run of bins, as :func:`select_band` returns.
     """
-    band = np.asarray(band, dtype=int)
-    if band.size == 0:
-        raise ValidationError("band must be non-empty")
-    if band.min() < 0 or band.max() >= snaps.num_samples:
-        raise ValidationError("band indices outside the spectrum")
-    s_count, m = snaps.num_snapshots, snaps.num_sensors
+    m = snaps.num_sensors
+    rows = snaps.bins[_band_slice(band, snaps.num_samples)].reshape(-1, m)
 
-    # Every (snapshot, bin) pair contributes one length-M sensor vector x;
-    # the lag-l sum over pairs is the l-th superdiagonal of the Gram matrix
-    # sum_r conj(x_r) x_r^T. The rows are gathered a few snapshots at a
-    # time, so no band-sized copy of the snapshots is ever held.
-    block = max(1, ROWS // band.size)
-    gram = np.zeros((m, m), dtype=complex)
-    for start in range(0, s_count, block):
-        rows = snaps.bins[start : start + block, band].reshape(-1, m)
-        gram += rows.conj().T @ rows
+    # Every (bin, snapshot) pair contributes one length-M sensor vector x; the
+    # lag-l sum is the l-th superdiagonal of the Gram sum_r conj(x_r) x_r^T. Seen
+    # as real (re, im) columns X, the band's contiguous rows give the real Gram
+    # X^T X in one BLAS syrk, whose quarters make (RR + II) + j(RI - IR).
+    xf = rows.view(float)
+    g = xf.T @ xf
+    gram = (g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[0::2, 1::2] - g[1::2, 0::2])
     values = np.array([np.trace(gram, offset=lag) for lag in range(m)])
-    # The diagonal sums |x_k|^2; fused multiply-adds in the GEMM can leave a
-    # rounding residue in its imaginary part, which is dropped.
+    # The diagonal sums |x_k|^2; a Gram not filled symmetrically could leave
+    # a rounding residue in its imaginary part, which is dropped.
     values[0] = values[0].real
-    counts = s_count * band.size * (m - np.arange(m))
-    values /= counts
+    values /= len(rows) * (m - np.arange(m))
     return CorrelationSequence(values=values, spacing=snaps.array.spacing)

@@ -165,6 +165,16 @@ def _positive_band(magnitude: np.ndarray, threshold_ratio: float) -> np.ndarray:
     return np.arange(start, stop + 1)
 
 
+def _band_slice(band: np.ndarray, n: int, min_bins: int = 1) -> slice:
+    """The band, a run of at least ``min_bins`` >= 1 consecutive bins in 0..n-1, as a slice."""
+    band = np.asarray(band, dtype=int)
+    if band.size < min_bins or np.any(np.diff(band) != 1):
+        raise ValidationError(f"band must be a run of at least {min_bins} consecutive bins")
+    if band[0] < 0 or band[-1] >= n:
+        raise ValidationError("band indices outside the spectrum")
+    return slice(int(band[0]), int(band[-1]) + 1)
+
+
 def generate_pulse(cfg: PulseConfig) -> SampledWaveform:
     """Sample the keyed raised-cosine pulse on its symmetric time grid.
 

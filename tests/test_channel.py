@@ -160,7 +160,7 @@ class TestSynthesize:
         for count in (1, 3, step + 1):
             part = synthesize(pulse_wave, num_snapshots=count, **kw)
             assert np.array_equal(part.betas, full.betas[:count])
-            assert np.array_equal(part.bins, full.bins[:count])
+            assert np.array_equal(part.bins, full.bins[:, :count])
 
     @pytest.mark.parametrize("kind", sorted(RANDOM_FADING))
     def test_betas_do_not_depend_on_noise_or_array_size(self, pulse_wave, kind):
@@ -181,10 +181,10 @@ class TestSynthesize:
         bins = snaps.bins / np.sqrt(n * noise_var)
         assert abs(bins.mean()) < 0.01
         assert np.mean(np.abs(bins) ** 2) == pytest.approx(1.0, rel=0.01)
-        per_bin = np.mean(np.abs(bins) ** 2, axis=(0, 2))
+        per_bin = np.mean(np.abs(bins) ** 2, axis=(1, 2))
         assert np.all(np.abs(per_bin - 1.0) < 0.1)
         assert abs(np.mean(bins**2)) < 0.01  # circular
-        assert abs(np.mean(bins[:, 1:] * bins[:, :-1].conj())) < 0.01  # adjacent bins
+        assert abs(np.mean(bins[1:] * bins[:-1].conj())) < 0.01  # adjacent bins
         assert abs(np.mean(bins[:, :, 1:] * bins[:, :, :-1].conj())) < 0.01  # adjacent sensors
         assert np.mean(np.abs(snaps.data) ** 2) == pytest.approx(noise_var, rel=0.01)
 
@@ -248,6 +248,25 @@ class TestSynthesize:
         # prefix of a longer one, so parallel generation cannot change results
         c = synthesize(pulse_wave, num_snapshots=4, seed=11, **kw)
         assert np.array_equal(c.data, a.data[:4])
+
+    def test_bins_are_bin_major(self, pulse_wave, tmp_path):
+        # bins is one C-contiguous (bin, snapshot, sensor) array whether it
+        # was synthesized with or without noise or loaded from a file;
+        # spectra is an (S, M, N) view of it and data keeps (S, M, N)
+        n, s_count, m = len(pulse_wave), 5, 4
+        noiseless = synthesize(pulse_wave, TWO_PATHS, ArrayConfig(m, 0.5),
+                               FadingModel.rayleigh(1.0), s_count, seed=3)
+        noisy = synthesize(pulse_wave, TWO_PATHS, ArrayConfig(m, 0.5),
+                           FadingModel.rayleigh(1.0), s_count, 0.1, seed=3)
+        save_dataset(noisy, tmp_path / "data.txt")
+        loaded = load_dataset(tmp_path / "data.txt")
+        for snaps in (noiseless, noisy, loaded):
+            assert snaps.bins.shape == (n, s_count, m)
+            assert snaps.bins.flags.c_contiguous
+            assert snaps.spectra.shape == (s_count, m, n)
+            assert np.shares_memory(snaps.spectra, snaps.bins)
+            assert snaps.data.shape == (s_count, m, n)
+            assert (snaps.num_samples, snaps.num_snapshots, snaps.num_sensors) == (n, s_count, m)
 
     def test_truth_retained(self, pulse_wave):
         snaps = one_path_snaps(pulse_wave, angle_deg=5.0, delay=1.0, snapshots=3)

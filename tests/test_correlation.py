@@ -20,8 +20,6 @@ from jade import (
     synthesize,
 )
 
-from jade.correlation import ROWS
-
 from test_pulse import zero_bit_cfg
 
 
@@ -126,7 +124,6 @@ class TestEstimateCorrelation:
         wave = generate_pulse(zero_bit_cfg())
         spec = spectrum(wave)
         band = select_band(spec, 0.1)
-        block = max(1, ROWS // band.size)
 
         def two_path(snapshots):
             return make_snaps(
@@ -138,29 +135,32 @@ class TestEstimateCorrelation:
                 seed=9,
             )
 
-        # one band wider than a Gram block, so each block is one snapshot
+        # 26 band bins: 20, 81 and 40 snapshots give 520, 2106 and 1040 rows,
+        # below, across and just past multiples of 1024; the wide band alone
+        # holds 1026 bins
         rng = np.random.default_rng(4)
-        wide = (3, ROWS + 8, 5)
+        wide = (1032, 3, 5)
         wide_snaps = SnapshotSet(
             bins=rng.standard_normal(wide) + 1j * rng.standard_normal(wide),
             array=ArrayConfig(5, 0.5),
         )
         cases = [
             (two_path(4), band),
-            (two_path(block // 2 + 1), band),  # fewer snapshots than one block
-            (two_path(2 * block + 3), band),  # a partial last block
-            (two_path(block + 1), band[::3]),  # non-contiguous band
-            (wide_snaps, np.arange(1, ROWS + 3)),
+            (two_path(20), band),
+            (two_path(81), band),
+            (wide_snaps, np.arange(1, 1027)),
         ]
         for snaps, bins in cases:
             corr = estimate_correlation(snaps, bins)
             naive = naive_correlation(snaps, bins)
             assert np.abs(corr.values - naive).max() < 1e-12 * np.abs(naive).max()
             assert corr.values[0].imag == 0.0
+        with pytest.raises(ValidationError):
+            estimate_correlation(two_path(40), band[::3])
 
     def test_peak_allocation_below_a_quarter_of_the_snapshots(self, keyed_pulse):
-        # the Gram is built from cache-sized blocks, never from a band-sized
-        # copy of the snapshots
+        # the Gram reads the band in place, never a band-sized copy of the
+        # snapshots
         _, wave, spec = keyed_pulse
         band = select_band(spec, 0.1)
         snaps = synthesize(
@@ -179,6 +179,31 @@ class TestEstimateCorrelation:
         finally:
             tracemalloc.stop()
         assert peak < snaps.bins.nbytes / 4
+
+    @pytest.mark.parametrize("snapshots", [4, 200])
+    def test_peak_allocation_does_not_grow_with_snapshots(self, keyed_pulse, snapshots):
+        # the band is read in place; only the 2M x 2M real Gram and its
+        # M x M quarters are allocated, whatever the snapshot count
+        _, wave, spec = keyed_pulse
+        band = select_band(spec, 0.1)
+        m = 64
+        snaps = synthesize(
+            wave,
+            [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
+            ArrayConfig(m, 0.5),
+            FadingModel.rayleigh(1.0),
+            snapshots,
+            0.0,
+            seed=1,
+        )
+        estimate_correlation(snaps, band)  # warm up
+        tracemalloc.start()
+        try:
+            estimate_correlation(snaps, band)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (2 * m) ** 2 * 8
 
     def test_two_sided_hermitian_exact(self):
         corr = CorrelationSequence(
