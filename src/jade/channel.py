@@ -393,5 +393,7 @@ def load_dataset(path) -> SnapshotSet:
                     )
                 pairs = np.asarray(cells, dtype=float).reshape(n, 2)
                 data[s, k] = pairs[:, 0] + 1j * pairs[:, 1]
+        if any(line.strip() for line in fh):
+            raise ValidationError(f"dataset has data lines beyond the header's S={s_count}")
     bins = np.ascontiguousarray(np.fft.fft(data, axis=-1).transpose(2, 0, 1))
     return SnapshotSet(bins=bins, array=arr, _data=data)

@@ -24,8 +24,9 @@ import numpy as np
 
 from . import __version__
 from .exceptions import EstimationError, ValidationError
-from .pulse import generate_pulse, spectrum
+from .pulse import generate_pulse, spectrum, unwrap_phase
 from .channel import load_dataset, save_dataset, synthesize
+from .correlation import select_band
 from .pipeline import (
     ScenarioConfig,
     estimate,
@@ -49,24 +50,20 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _write_pulse_csvs(cfg: ScenarioConfig, out_dir: Path) -> None:
     wave = generate_pulse(cfg.pulse)
-    spec = spectrum(wave, cfg.band_threshold)
+    spec = spectrum(wave)
     _write_csv(
         out_dir / "pulse_waveform.csv",
         ["t", "g"],
         zip(wave.t, wave.values),
     )
-    unwrapped = dict(zip(spec.passband.tolist(), spec.phase_unwrapped))
-    order = np.argsort(spec.omega)
-    rows = []
-    for q in order:
-        rows.append(
-            [
-                spec.omega[q],
-                spec.magnitude[q],
-                spec.phase[q],
-                unwrapped.get(int(q), ""),
-            ]
-        )
+    # The unwrapped phase is written only over the band the estimator reads.
+    phase = np.angle(spec.values)
+    band = select_band(spec, cfg.band_threshold)
+    unwrapped = dict(zip(band, unwrap_phase(phase[band])))
+    rows = [
+        [spec.omega[q], spec.magnitude[q], phase[q], unwrapped.get(int(q), "")]
+        for q in np.argsort(spec.omega)
+    ]
     _write_csv(
         out_dir / "pulse_spectrum.csv",
         ["omega", "magnitude", "phase", "phase_unwrapped"],

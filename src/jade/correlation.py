@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .pulse import Spectrum, _band_slice, _positive_band
+from .pulse import Spectrum
 from .channel import SnapshotSet
 
 __all__ = ["CorrelationSequence", "select_band", "estimate_correlation"]
@@ -51,25 +51,45 @@ class CorrelationSequence:
         return np.concatenate([np.conj(self.values[:0:-1]), self.values])
 
 
-def select_band(g_spec: Spectrum, eta: float) -> np.ndarray:
+def select_band(g_spec: Spectrum, eta: float) -> range:
     """Positive-frequency bins where the pulse spectrum has energy.
 
-    Returns the contiguous run of bins (natural DFT order) containing the
-    magnitude peak where |g| >= eta * max|g|. Averaging the correlation
-    outside this band would only add terms with no signal content.
+    Returns the contiguous run of bins q in 1..N//2 (natural DFT order),
+    grown outward from the positive-frequency magnitude peak while
+    |g| >= eta * max|g|, as ``range(start, stop)``. Averaging the
+    correlation outside this band would only add terms with no signal
+    content.
     """
     if not 0.0 <= eta < 1.0:
         raise ValidationError(f"eta must be in [0, 1), got {eta}")
-    return _positive_band(g_spec.magnitude, eta)
+    magnitude = g_spec.magnitude
+    hi = len(magnitude) // 2  # the last bin with omega > 0
+    level = eta * magnitude.max()
+    start = stop = 1 + int(np.argmax(magnitude[1 : hi + 1]))
+    while start > 1 and magnitude[start - 1] >= level:
+        start -= 1
+    while stop < hi and magnitude[stop + 1] >= level:
+        stop += 1
+    return range(start, stop + 1)
 
 
-def estimate_correlation(snaps: SnapshotSet, band: np.ndarray) -> CorrelationSequence:
+def _band_slice(band, n: int, min_bins: int = 1) -> slice:
+    """The band, a run of at least ``min_bins`` >= 1 consecutive bins in 0..n-1, as a slice."""
+    band = np.asarray(band, dtype=int)
+    if band.size < min_bins or np.any(np.diff(band) != 1):
+        raise ValidationError(f"band must be a run of at least {min_bins} consecutive bins")
+    if band[0] < 0 or band[-1] >= n:
+        raise ValidationError("band indices outside the spectrum")
+    return slice(int(band[0]), int(band[-1]) + 1)
+
+
+def estimate_correlation(snaps: SnapshotSet, band: range) -> CorrelationSequence:
     """Average x_k(w) * conj(x_m(w)) over snapshots, band bins and pairs.
 
     Lag l collects every ordered sensor pair (k, k-l); the estimate at lag
     l therefore averages S * |band| * (M - l) terms. Lag 0 is a mean of
     squared magnitudes and comes out exactly real and non-negative. The
-    band must be a contiguous run of bins, as :func:`select_band` returns.
+    band is :func:`select_band`'s range, or any run of consecutive bins.
     """
     m = snaps.num_sensors
     rows = snaps.bins[_band_slice(band, snaps.num_samples)].reshape(-1, m)

@@ -18,8 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import ValidationError
-from .pulse import Spectrum, _band_slice, unwrap_phase
+from .pulse import Spectrum, unwrap_phase
 from .channel import SnapshotSet
+from .correlation import _band_slice
 
 __all__ = ["BeamformedSpectrum", "DelayEstimate", "beamform", "fit_delay"]
 
@@ -53,7 +54,7 @@ class DelayEstimate:
     slope: np.ndarray
     intercept: np.ndarray
     rsq: np.ndarray
-    band: np.ndarray
+    band: range
     reliable: np.ndarray
     phase: np.ndarray
 
@@ -81,7 +82,7 @@ def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> BeamformedSpectrum:
 def fit_delay(
     bf: BeamformedSpectrum,
     g_spec: Spectrum,
-    band: np.ndarray,
+    band: range,
     weighted: bool = False,
 ) -> DelayEstimate:
     """Fit the in-band residual phase slope per snapshot and path.
@@ -134,7 +135,7 @@ def fit_delay(
         slope=slope,
         intercept=intercept,
         rsq=rsq,
-        band=np.arange(bins.start, bins.stop),
+        band=range(bins.start, bins.stop),
         reliable=rsq >= RSQ_RELIABLE,
         phase=phase,
     )

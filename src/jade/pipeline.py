@@ -56,7 +56,7 @@ class PipelineArtifacts:
 
     pulse_wave: SampledWaveform
     pulse_spec: Spectrum
-    band: np.ndarray
+    band: range
     snapshots: SnapshotSet
     correlation: CorrelationSequence
     modes: ModeEstimate
@@ -166,6 +166,17 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ValidationError(f"{key}: expected a boolean, got {raw!r}")
 
 
+def _number(raw: dict, key: str, kind, default=None):
+    """``kind(raw[key])`` (int or float), or ``default`` when the key is absent."""
+    if key not in raw:
+        return default
+    try:
+        return kind(raw[key])
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{key}: expected {what}, got {raw[key]!r}") from exc
+
+
 def _parse_float_list(key: str, raw) -> List[float]:
     if isinstance(raw, (list, tuple)):
         return [float(v) for v in raw]
@@ -192,7 +203,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    if "schema" in raw and int(raw["schema"]) != CONFIG_SCHEMA:
+    if "schema" in raw and _number(raw, "schema", int) != CONFIG_SCHEMA:
         raise ValidationError(
             f"unsupported config schema {raw['schema']} (expected {CONFIG_SCHEMA})"
         )
@@ -204,15 +215,15 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             raise ValidationError(f"bits must be a 0/1 string, got {raw['bits']!r}")
         bits = [int(ch) for ch in bit_str]
     pulse = PulseConfig(
-        rolloff=float(raw.get("rolloff", 0.35)),
-        carrier_freq=float(raw.get("carrier_freq", 0.25)),
-        symbol_count=int(raw.get("symbols", 32)),
-        oversample=int(raw.get("oversample", 4)),
+        rolloff=_number(raw, "rolloff", float, 0.35),
+        carrier_freq=_number(raw, "carrier_freq", float, 0.25),
+        symbol_count=_number(raw, "symbols", int, 32),
+        oversample=_number(raw, "oversample", int, 4),
         bits=bits,
-        bits_seed=int(raw["bits_seed"]) if "bits_seed" in raw else None,
+        bits_seed=_number(raw, "bits_seed", int),
     )
     array = ArrayConfig(
-        num_sensors=int(raw.get("sensors", 64)), spacing=float(raw.get("spacing", 0.5))
+        num_sensors=_number(raw, "sensors", int, 64), spacing=_number(raw, "spacing", float, 0.5)
     )
     angles = _parse_float_list("angles_deg", raw.get("angles_deg", [-10.0, 20.0]))
     delays = _parse_float_list("delays", raw.get("delays", [3.0, 7.0]))
@@ -230,11 +241,11 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             raise ValidationError(f"{key} is not a parameter of {kind} fading")
     fading = FadingModel(
         kind=kind,
-        beta=complex(float(raw.get("beta_re", 1.0)), float(raw.get("beta_im", 0.0))),
-        sigma=float(raw.get("sigma", 1.0)),
-        nu=float(raw.get("nu", 0.0)),
-        mean_db=float(raw.get("mean_db", 0.0)),
-        std_db=float(raw.get("std_db", 6.0 if kind == "suzuki" else 0.0)),
+        beta=complex(_number(raw, "beta_re", float, 1.0), _number(raw, "beta_im", float, 0.0)),
+        sigma=_number(raw, "sigma", float, 1.0),
+        nu=_number(raw, "nu", float, 0.0),
+        mean_db=_number(raw, "mean_db", float, 0.0),
+        std_db=_number(raw, "std_db", float, 6.0 if kind == "suzuki" else 0.0),
     )
 
     prony = None
@@ -242,8 +253,8 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         fb = raw.get("forward_backward", False)
         prony = PronyConfig(
             num_modes=len(paths),
-            prediction_order=int(raw["prediction_order"]) if "prediction_order" in raw else None,
-            rank=int(raw["rank"]) if "rank" in raw else None,
+            prediction_order=_number(raw, "prediction_order", int),
+            rank=_number(raw, "rank", int),
             forward_backward=fb if isinstance(fb, bool) else _parse_bool("forward_backward", fb),
         )
 
@@ -253,12 +264,12 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         array=array,
         paths=paths,
         fading=fading,
-        num_snapshots=int(raw.get("snapshots", 200)),
-        noise_var=float(raw.get("noise_var", 0.0)),
-        band_threshold=float(raw.get("band_threshold", 0.1)),
+        num_snapshots=_number(raw, "snapshots", int, 200),
+        noise_var=_number(raw, "noise_var", float, 0.0),
+        band_threshold=_number(raw, "band_threshold", float, 0.1),
         prony=prony,
         weighted_fit=weighted if isinstance(weighted, bool) else _parse_bool("weighted_fit", weighted),
-        seed=int(raw.get("seed", 1)),
+        seed=_number(raw, "seed", int, 1),
     )
 
 
@@ -359,7 +370,7 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
     carries no truth fields and keeps the stage outputs in ``artifacts``.
     """
     started = time.perf_counter()
-    pulse_spec = _stage("spectrum", spectrum, pulse_wave, cfg.band_threshold)
+    pulse_spec = _stage("spectrum", spectrum, pulse_wave)
     band = _stage("select_band", select_band, pulse_spec, cfg.band_threshold)
     corr = _stage("correlation", estimate_correlation, snaps, band)
     modes = _stage("prony", svd_prony, corr, cfg.prony)
@@ -376,8 +387,8 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
         singular_values=modes.singular_values.tolist(),
         estimate_valid=bool(modes.valid),
         clamped=bool(modes.clamped),
-        band_start=int(band[0]),
-        band_stop=int(band[-1]),
+        band_start=band[0],
+        band_stop=band[-1],
         slope_per_snapshot=delays.slope,
         slope_median=np.median(delays.slope, axis=0).tolist(),
         slope_mean=np.mean(delays.slope, axis=0).tolist(),

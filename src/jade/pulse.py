@@ -116,17 +116,13 @@ class Spectrum:
 
     ``omega`` holds the digital radian frequency of each bin mapped to
     (-pi, pi], in natural DFT bin order (bin q of an N-point transform).
-    ``phase_unwrapped`` covers only the bins in ``passband``: the
-    contiguous run of positive-frequency bins where the magnitude is
-    non-negligible. Outside that band the phase carries no information.
+    The passband is chosen from ``magnitude`` by
+    :func:`jade.correlation.select_band`.
     """
 
     omega: np.ndarray
     values: np.ndarray
     magnitude: np.ndarray
-    phase: np.ndarray
-    passband: np.ndarray
-    phase_unwrapped: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
@@ -137,42 +133,6 @@ def _omega_grid(n: int) -> np.ndarray:
     q = np.arange(n)
     w = 2.0 * np.pi * q / n
     return np.where(q <= n // 2, w, w - 2.0 * np.pi)
-
-
-def _positive_band(magnitude: np.ndarray, threshold_ratio: float) -> np.ndarray:
-    """Contiguous run of positive-frequency bins around the magnitude peak.
-
-    Returns the natural-order bin indices q in 1..n//2 whose magnitude is
-    at least ``threshold_ratio`` times the global maximum, grown outward
-    from the peak bin so the run is contiguous and contains the maximum.
-    """
-    if not 0.0 <= threshold_ratio < 1.0:
-        raise ValidationError(
-            f"band threshold must be in [0, 1), got {threshold_ratio}"
-        )
-    n = len(magnitude)
-    lo, hi = 1, n // 2  # bins with omega > 0, inclusive
-    if hi < lo:
-        raise ValidationError("spectrum too short to contain positive frequencies")
-    level = threshold_ratio * magnitude.max()
-    peak = lo + int(np.argmax(magnitude[lo : hi + 1]))
-    start = peak
-    while start > lo and magnitude[start - 1] >= level:
-        start -= 1
-    stop = peak
-    while stop < hi and magnitude[stop + 1] >= level:
-        stop += 1
-    return np.arange(start, stop + 1)
-
-
-def _band_slice(band: np.ndarray, n: int, min_bins: int = 1) -> slice:
-    """The band, a run of at least ``min_bins`` >= 1 consecutive bins in 0..n-1, as a slice."""
-    band = np.asarray(band, dtype=int)
-    if band.size < min_bins or np.any(np.diff(band) != 1):
-        raise ValidationError(f"band must be a run of at least {min_bins} consecutive bins")
-    if band[0] < 0 or band[-1] >= n:
-        raise ValidationError("band indices outside the spectrum")
-    return slice(int(band[0]), int(band[-1]) + 1)
 
 
 def generate_pulse(cfg: PulseConfig) -> SampledWaveform:
@@ -222,29 +182,13 @@ def generate_pulse(cfg: PulseConfig) -> SampledWaveform:
 
 
 def spectrum(w: SampledWaveform, band_threshold: float = 0.1) -> Spectrum:
-    """Compute the DFT of a waveform with magnitude and unwrapped phase.
-
-    ``band_threshold`` sets the magnitude ratio (relative to the peak)
-    that defines the positive-frequency passband over which the phase is
-    unwrapped.
-    """
+    """Compute the DFT of a waveform with its magnitude."""
+    # band_threshold is unused; perfbench's traced replay still passes it positionally.
     n = len(w)
     if n < 2:
         raise ValidationError("waveform must have at least 2 samples")
     values = np.fft.fft(w.values)
-    omega = _omega_grid(n)
-    magnitude = np.abs(values)
-    phase = np.angle(values)
-    passband = _positive_band(magnitude, band_threshold)
-    phase_unwrapped = unwrap_phase(phase[passband])
-    return Spectrum(
-        omega=omega,
-        values=values,
-        magnitude=magnitude,
-        phase=phase,
-        passband=passband,
-        phase_unwrapped=phase_unwrapped,
-    )
+    return Spectrum(omega=_omega_grid(n), values=values, magnitude=np.abs(values))
 
 
 def unwrap_phase(phi: Union[Sequence[float], np.ndarray], axis: int = -1) -> np.ndarray:

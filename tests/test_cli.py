@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from jade import EstimationError, scenario_from_dict
+from jade import (EstimationError, default_scenario, generate_pulse, scenario_from_dict,
+                  select_band, spectrum)
 from jade.cli import main
 
 
@@ -32,8 +33,15 @@ class TestPulseCommand:
         omega = np.array([float(r[0]) for r in rows])
         assert len(rows) == 128
         assert np.all(np.diff(omega) > 0)  # sorted for plotting
-        unwrapped = [r[3] for r in rows if r[3] != ""]
-        assert len(unwrapped) > 3
+        # the unwrapped phase is written over exactly the estimator's band, and
+        # differs from the principal phase by whole turns
+        has_unwrapped = np.array([r[3] != "" for r in rows])
+        bins = np.rint(omega[has_unwrapped] * 128 / (2 * np.pi)).astype(int)
+        band = select_band(spectrum(generate_pulse(default_scenario().pulse)), 0.1)
+        assert len(band) > 3 and bins.tolist() == list(band)
+        phase = np.array([float(r[2]) for r in rows])[has_unwrapped]
+        turns = (np.array([float(r[3]) for r in rows if r[3] != ""]) - phase) / (2 * np.pi)
+        assert np.allclose(turns, np.round(turns), atol=1e-9)
 
 
 class TestSimulateEstimate:
@@ -87,7 +95,8 @@ class TestSimulateEstimate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["S=-1", "delta=0.0", "M=1", "delta=nan"])
+    # S=1 leaves the file's second snapshot as lines beyond the header's S*M
+    @pytest.mark.parametrize("field", ["S=-1", "delta=0.0", "M=1", "delta=nan", "S=1"])
     def test_estimate_rejects_malformed_header(self, tmp_path, capsys, field):
         data = tmp_path / "snaps.txt"
         main(["simulate", *SMALL, "--set", "snapshots=2", "--out", str(data)])
@@ -248,13 +257,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "setting",
-        ["noise_var=nan", "noise_var=inf", "spacing=nan", "sigma=nan", "carrier_freq=nan"],
+        ["noise_var=nan", "noise_var=inf", "spacing=nan", "sigma=nan", "carrier_freq=nan",
+         # values that are not numbers at all
+         "sensors=abc", "noise_var=x", "snapshots=1.5", "schema=abc", "rank=z"],
     )
     def test_non_finite_value_is_2(self, capsys, setting):
         assert main(["run", *SMALL, "--set", setting]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_non_numeric_value_in_config_file_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("sensors = eight\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "sensors: expected an integer, got 'eight'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "settings",

@@ -12,7 +12,9 @@ from jade import (
     SampledWaveform,
     SnapshotSet,
     ValidationError,
+    beamform,
     estimate_correlation,
+    fit_delay,
     generate_pulse,
     select_band,
     spectrum,
@@ -89,6 +91,21 @@ class TestSelectBand:
         assert np.all(np.diff(band) == 1)
         pos = np.arange(1, len(spec) // 2 + 1)
         assert pos[np.argmax(spec.magnitude[pos])] in band
+
+    def test_range_reads_like_the_equal_array(self, keyed_pulse):
+        _, wave, spec = keyed_pulse
+        band = select_band(spec, 0.1)
+        assert isinstance(band, range) and band.step == 1
+        as_array = np.arange(band.start, band.stop)
+        snaps = make_snaps(wave, [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)], sensors=8,
+                           snapshots=5, fading=FadingModel.rayleigh(1.0), seed=2)
+        assert np.array_equal(estimate_correlation(snaps, band).values,
+                              estimate_correlation(snaps, as_array).values)
+        beams = beamform(snaps, np.sin(np.radians([-10.0, 20.0])))
+        by_range, by_array = fit_delay(beams, spec, band), fit_delay(beams, spec, as_array)
+        for field in ("slope", "intercept", "rsq", "phase"):
+            assert np.array_equal(getattr(by_range, field), getattr(by_array, field)), field
+        assert by_range.band == by_array.band == band
 
     def test_rejects_bad_eta(self, keyed_pulse):
         _, _, spec = keyed_pulse

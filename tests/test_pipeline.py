@@ -112,6 +112,20 @@ class TestRunPipeline:
         assert report.artifacts is None
         assert held < 10_000
 
+    @pytest.mark.parametrize(
+        "paths",
+        [{}, {"angles_deg": "-30,0,25", "delays": "-2.5,1.25,6.75", "sensors": 24}],
+        ids=["default", "three-paths-M24"],
+    )
+    def test_path_order_does_not_change_the_estimates(self, paths):
+        # Deterministic fading and no noise: Rayleigh draws its betas in path
+        # order, so reordering its paths would change the channel itself.
+        cfg = scenario_from_dict({**paths, "fading": "deterministic"})
+        forward = run_pipeline(cfg)
+        backward = run_pipeline(replace(cfg, paths=cfg.paths[::-1]))
+        assert np.abs(np.subtract(forward.angles_est_deg, backward.angles_est_deg)).max() < 1e-9
+        assert np.abs(np.subtract(forward.slope_median, backward.slope_median)).max() < 1e-9
+
     def test_artifacts_only_on_request(self):
         cfg = small_scenario()
         assert run_pipeline(cfg).artifacts is None

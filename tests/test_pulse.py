@@ -163,14 +163,6 @@ class TestSpectrum:
         peak_bin = int(np.argmax(spec.magnitude[1 : n // 2 + 1])) + 1
         assert peak_bin < edge_bin
 
-    def test_passband_phase_unwrapped_lengths(self, keyed_pulse):
-        _, _, spec = keyed_pulse
-        assert len(spec.phase_unwrapped) == len(spec.passband)
-        assert np.all(np.diff(spec.passband) == 1)
-        # unwrapped phase differs from the principal phase by 2*pi integers
-        k = (spec.phase_unwrapped - spec.phase[spec.passband]) / (2 * np.pi)
-        assert np.allclose(k, np.round(k), atol=1e-9)
-
     def test_rejects_too_short(self):
         from jade import SampledWaveform
 
