@@ -163,6 +163,19 @@ class TestSpectrum:
         peak_bin = int(np.argmax(spec.magnitude[1 : n // 2 + 1])) + 1
         assert peak_bin < edge_bin
 
+    def test_passband_phase_unwrapped_lengths(self, keyed_pulse):
+        from jade import select_band
+
+        _, _, spec = keyed_pulse
+        band = np.array(select_band(spec, 0.1))
+        phase = np.angle(spec.values)
+        phase_unwrapped = unwrap_phase(phase[band])
+        assert len(phase_unwrapped) == len(band)
+        assert np.all(np.diff(band) == 1)
+        # unwrapped phase differs from the principal phase by 2*pi integers
+        k = (phase_unwrapped - phase[band]) / (2 * np.pi)
+        assert np.allclose(k, np.round(k), atol=1e-9)
+
     def test_rejects_too_short(self):
         from jade import SampledWaveform
 
