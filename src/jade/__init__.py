@@ -22,7 +22,7 @@ from .channel import (
 )
 from .correlation import CorrelationSequence, estimate_correlation, select_band
 from .prony import ModeEstimate, PronyConfig, roots_of_polynomial, svd_prony
-from .delay import BeamformedSpectrum, DelayEstimate, beamform, fit_delay
+from .delay import DelayEstimate, beamform, fit_delay
 from .pipeline import (
     MonteCarloReport,
     RunReport,
@@ -60,7 +60,6 @@ __all__ = [
     "ModeEstimate",
     "svd_prony",
     "roots_of_polynomial",
-    "BeamformedSpectrum",
     "DelayEstimate",
     "beamform",
     "fit_delay",

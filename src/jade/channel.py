@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -195,16 +195,13 @@ class SnapshotSet:
     vectors of a run of bins are one block; ``spectra`` views it as
     (snapshot, sensor, bin). ``data``, the (snapshot, sensor, time) series,
     is an inverse DFT computed on first read and cached (a loaded dataset
-    starts with the parsed series cached). ``paths``/``betas`` retain the
-    generating ground truth of a synthesized set; loaded sets have ``None``.
+    starts with the parsed series cached). ``betas`` holds the drawn
+    (snapshot, path) fading coefficients of a synthesized set; loaded sets
+    have ``None``.
     """
 
     bins: np.ndarray
     array: ArrayConfig
-    paths: Optional[List[PathParam]] = None
-    fading: Optional[FadingModel] = None
-    noise_var: float = 0.0
-    seed: Optional[int] = None
     betas: Optional[np.ndarray] = None
     _data: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -309,15 +306,7 @@ def synthesize(
             block += delayed @ coef[start:start + len(block)]
             bins[:, start:start + len(block)] = block.transpose(1, 0, 2)
 
-    return SnapshotSet(
-        bins=bins,
-        array=arr,
-        paths=list(paths),
-        fading=fading,
-        noise_var=noise_var,
-        seed=seed,
-        betas=betas,
-    )
+    return SnapshotSet(bins=bins, array=arr, betas=betas)
 
 
 def save_dataset(snaps: SnapshotSet, path) -> None:
@@ -365,8 +354,8 @@ def load_dataset(path) -> SnapshotSet:
 
     The per-sensor spectra are computed from the time series, and the
     parsed series itself is kept as the set's ``data``, so reading a file
-    back gives exactly the samples that were written. Ground-truth fields
-    are not stored in the file and come back as ``None``.
+    back gives exactly the samples that were written. The fading
+    coefficients are not stored in the file, so ``betas`` is ``None``.
     """
     with open(path) as fh:
         header = _parse_header(fh.readline().strip())
@@ -391,7 +380,12 @@ def load_dataset(path) -> SnapshotSet:
                         f"expected {n} re:im samples per line, got "
                         f"{len(cells) // 2} (snapshot {s}, sensor {k})"
                     )
-                pairs = np.asarray(cells, dtype=float).reshape(n, 2)
+                try:
+                    pairs = np.asarray(cells, dtype=float).reshape(n, 2)
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"non-numeric sample at snapshot {s}, sensor {k}"
+                    ) from exc
                 data[s, k] = pairs[:, 0] + 1j * pairs[:, 1]
         if any(line.strip() for line in fh):
             raise ValidationError(f"dataset has data lines beyond the header's S={s_count}")

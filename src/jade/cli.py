@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_pulse(args) -> int:
-    cfg = _load_scenario(args)
-    cfg.validate()
+    # the pulse `jade run` transmits: its bits are drawn from the scenario seed
+    cfg = _load_scenario(args).resolved()
     args.out.mkdir(parents=True, exist_ok=True)
     _write_pulse_csvs(cfg, args.out)
     print(f"wrote {args.out / 'pulse_waveform.csv'} and {args.out / 'pulse_spectrum.csv'}")

@@ -22,7 +22,7 @@ from .pulse import Spectrum, unwrap_phase
 from .channel import SnapshotSet
 from .correlation import _band_slice
 
-__all__ = ["BeamformedSpectrum", "DelayEstimate", "beamform", "fit_delay"]
+__all__ = ["DelayEstimate", "beamform", "fit_delay"]
 
 # Below this coefficient of determination a per-snapshot line fit is
 # considered unreliable and flagged.
@@ -30,25 +30,16 @@ RSQ_RELIABLE = 0.5
 
 
 @dataclass
-class BeamformedSpectrum:
-    """Beamformer output per (snapshot, path, frequency bin)."""
-
-    values: np.ndarray
-    sines_used: np.ndarray
-
-
-@dataclass
 class DelayEstimate:
     """Per-snapshot phase-slope delay fits and their aggregates.
 
-    ``delay_per_snapshot`` is exactly ``-slope``; ``intercept`` absorbs the
+    The per-snapshot delay is ``-slope``; ``intercept`` absorbs the
     per-snapshot fading phase (modulo 2*pi). ``phase`` is the unwrapped
     in-band residual phase the lines were fitted to, shaped (snapshot,
     path, bin). ``reliable`` marks fits whose r-squared reaches
     :data:`RSQ_RELIABLE`.
     """
 
-    delay_per_snapshot: np.ndarray
     delay_median: np.ndarray
     delay_mean: np.ndarray
     slope: np.ndarray
@@ -59,11 +50,11 @@ class DelayEstimate:
     phase: np.ndarray
 
 
-def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> BeamformedSpectrum:
+def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> np.ndarray:
     """Steer the array at each sin(angle) value and average over sensors.
 
-    Output path i, bin q is (1/M) * sum_k exp(-j*2*pi*spacing*(k-1)*s_i)
-    * x_k(w_q), evaluated for every snapshot.
+    Returns the complex (snapshot, path, bin) array whose path i, bin q is
+    (1/M) * sum_k exp(-j*2*pi*spacing*(k-1)*s_i) * x_k(w_q).
     """
     sines = np.asarray(sines, dtype=float)
     if sines.ndim != 1 or sines.size == 0:
@@ -75,24 +66,23 @@ def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> BeamformedSpectrum:
     weights = np.exp(-2j * np.pi * snaps.array.spacing * np.outer(sines, k)) / m
     # One GEMM over all (bin, snapshot) rows; as rows @ weights.T it left 25 MB more resident.
     values = (weights @ snaps.bins.reshape(-1, m).T).reshape(-1, n, s_count)
-    values = values.transpose(2, 0, 1)
-    return BeamformedSpectrum(values=values, sines_used=sines)
+    return values.transpose(2, 0, 1)
 
 
 def fit_delay(
-    bf: BeamformedSpectrum,
+    beams: np.ndarray,
     g_spec: Spectrum,
     band: range,
     weighted: bool = False,
 ) -> DelayEstimate:
     """Fit the in-band residual phase slope per snapshot and path.
 
-    The beamformed spectrum is deconvolved by the known pulse spectrum
-    (which removes the pulse phase without a second unwrapping pass), the
-    residual phase is unwrapped across the band, and an ordinary (or
-    |g|^2-weighted) least-squares line in omega gives the delay as minus
-    the slope. Aggregates over snapshots are the median (robust to deep
-    fades) and the mean.
+    The (snapshot, path, bin) ``beams`` of :func:`beamform` are deconvolved
+    by the known pulse spectrum (which removes the pulse phase without a
+    second unwrapping pass), the residual phase is unwrapped across the
+    band, and an ordinary (or |g|^2-weighted) least-squares line in omega
+    gives the delay as minus the slope. Aggregates over snapshots are the
+    median (robust to deep fades) and the mean.
     """
     bins = _band_slice(band, len(g_spec), min_bins=3)
     g_band = g_spec.values[bins]
@@ -100,7 +90,7 @@ def fit_delay(
         raise ValidationError("pulse spectrum vanishes inside the band")
 
     omega = g_spec.omega[bins]
-    residual = bf.values[:, :, bins] * (np.conj(g_band) / np.abs(g_band) ** 2)
+    residual = beams[:, :, bins] * (np.conj(g_band) / np.abs(g_band) ** 2)
     phase = unwrap_phase(np.angle(residual), axis=-1)
 
     if weighted:
@@ -127,11 +117,9 @@ def fit_delay(
     rsq = np.where(ss_tot > 1e-30, 1.0 - ss_res / np.maximum(ss_tot, 1e-300), 1.0)
     rsq = np.clip(rsq, 0.0, 1.0)
 
-    delays = -slope
     return DelayEstimate(
-        delay_per_snapshot=delays,
-        delay_median=np.median(delays, axis=0),
-        delay_mean=np.mean(delays, axis=0),
+        delay_median=np.median(-slope, axis=0),
+        delay_mean=np.mean(-slope, axis=0),
         slope=slope,
         intercept=intercept,
         rsq=rsq,

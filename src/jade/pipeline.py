@@ -23,7 +23,7 @@ from .pulse import PulseConfig, SampledWaveform, Spectrum, generate_pulse, spect
 from .channel import ArrayConfig, FadingModel, PathParam, SnapshotSet, synthesize
 from .correlation import CorrelationSequence, estimate_correlation, select_band
 from .prony import ModeEstimate, PronyConfig, svd_prony
-from .delay import BeamformedSpectrum, DelayEstimate, beamform, fit_delay
+from .delay import DelayEstimate, beamform, fit_delay
 
 __all__ = [
     "ScenarioConfig",
@@ -52,15 +52,11 @@ ESTIMATE_KEYS = ("schema", "rolloff", "carrier_freq", "symbols", "oversample", "
 
 @dataclass
 class PipelineArtifacts:
-    """Stage outputs of :func:`estimate`, kept for CSV dumps; never serialized."""
+    """Stage outputs the ``--dump-*`` CSVs read; never serialized."""
 
-    pulse_wave: SampledWaveform
     pulse_spec: Spectrum
-    band: range
-    snapshots: SnapshotSet
     correlation: CorrelationSequence
     modes: ModeEstimate
-    beamformed: BeamformedSpectrum
     delays: DelayEstimate
 
 
@@ -397,9 +393,7 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
         rsq_median=np.median(delays.rsq, axis=0).tolist(),
         unreliable_fits=int(np.sum(~delays.reliable)),
         timing_s=time.perf_counter() - started,
-        artifacts=PipelineArtifacts(
-            pulse_wave, pulse_spec, band, snaps, corr, modes, beams, delays
-        ),
+        artifacts=PipelineArtifacts(pulse_spec, corr, modes, delays),
     )
 
 

@@ -87,10 +87,9 @@ class ModeEstimate:
     """Recovered exponential modes mapped to arrival angles.
 
     ``sines`` holds sin(angle) per mode, sorted ascending; ``amplitudes``
-    are the real parts of the least-squares mode amplitudes, with the
-    largest relative imaginary residue kept in ``amp_imag_residual`` as a
-    model-fit diagnostic. ``valid`` is False when a |sin| overshoot was too
-    large to clamp silently.
+    are the real parts of the least-squares mode amplitudes, which are real
+    up to rounding because the two-sided sequence is Hermitian. ``valid``
+    is False when a |sin| overshoot was too large to clamp silently.
     """
 
     sines: np.ndarray
@@ -101,7 +100,6 @@ class ModeEstimate:
     all_roots: Optional[np.ndarray] = None
     clamped: bool = False
     valid: bool = True
-    amp_imag_residual: float = 0.0
 
 
 def roots_of_polynomial(coeffs: np.ndarray) -> np.ndarray:
@@ -206,7 +204,6 @@ def svd_prony(corr: CorrelationSequence, cfg: PronyConfig) -> ModeEstimate:
     lags = np.arange(-(corr.num_lags - 1), corr.num_lags)
     modes = np.exp(1j * np.outer(lags, np.angle(selected)))
     amp, *_ = np.linalg.lstsq(modes, two_sided, rcond=None)
-    amp_scale = max(np.abs(amp).max(), np.finfo(float).tiny)
     return ModeEstimate(
         sines=sines_c,
         angles_deg=angles_deg,
@@ -216,6 +213,5 @@ def svd_prony(corr: CorrelationSequence, cfg: PronyConfig) -> ModeEstimate:
         all_roots=roots,
         clamped=clamped,
         valid=valid,
-        amp_imag_residual=float(np.abs(amp.imag).max() / amp_scale),
     )
 

@@ -204,7 +204,7 @@ def test_criterion_6_matched_beamformer_magnitude():
         seed=1,
     )
     bf = beamform(snaps, [np.sin(np.radians(20.0))])
-    dev = np.abs(np.abs(bf.values[0, 0]) - spec.magnitude).max() / spec.magnitude.max()
+    dev = np.abs(np.abs(bf[0, 0]) - spec.magnitude).max() / spec.magnitude.max()
     ok = dev < 1e-10
     gate(6, "matched beamformer magnitude identity", ok, f"max relative deviation {dev:.2e}")
 

@@ -271,7 +271,6 @@ class TestSynthesize:
     def test_truth_retained(self, pulse_wave):
         snaps = one_path_snaps(pulse_wave, angle_deg=5.0, delay=1.0, snapshots=3)
         assert snaps.betas.shape == (3, 1)
-        assert snaps.paths[0].angle_deg == 5.0
         assert np.allclose(snaps.betas, 1.0)
 
     def test_sensor_power_closed_form(self, pulse_wave):
@@ -397,7 +396,7 @@ class TestDatasetIO:
         assert np.array_equal(loaded.data, snaps.data)  # repr-exact round trip
         assert loaded.array.num_sensors == 4
         assert loaded.array.spacing == 0.5
-        assert loaded.paths is None
+        assert loaded.betas is None
         ref = np.fft.fft(loaded.data, axis=-1)
         assert np.abs(loaded.spectra - ref).max() < 1e-10 * np.abs(ref).max()
 
@@ -413,6 +412,14 @@ class TestDatasetIO:
         path = tmp_path / "bad.txt"
         path.write_text("NOPE M=2 N=4 S=1 delta=0.5\n1:0,2:0,3:0,4:0\n")
         with pytest.raises(ValidationError):
+            load_dataset(path)
+
+    def test_rejects_non_numeric_sample(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        rows = ["1:0,2:0,3:0,4:0"] * 4
+        rows[3] = "1:0,2:0,abc:0.0,4:0"
+        path.write_text("JADE1 M=2 N=4 S=2 delta=0.5\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValidationError, match="snapshot 1, sensor 1"):
             load_dataset(path)
 
     def test_rejects_truncated_file(self, pulse_wave, tmp_path):

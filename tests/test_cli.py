@@ -37,11 +37,21 @@ class TestPulseCommand:
         # differs from the principal phase by whole turns
         has_unwrapped = np.array([r[3] != "" for r in rows])
         bins = np.rint(omega[has_unwrapped] * 128 / (2 * np.pi)).astype(int)
-        band = select_band(spectrum(generate_pulse(default_scenario().pulse)), 0.1)
+        band = select_band(spectrum(generate_pulse(default_scenario().resolved().pulse)), 0.1)
         assert len(band) > 3 and bins.tolist() == list(band)
         phase = np.array([float(r[2]) for r in rows])[has_unwrapped]
         turns = (np.array([float(r[3]) for r in rows if r[3] != ""]) - phase) / (2 * np.pi)
         assert np.allclose(turns, np.round(turns), atol=1e-9)
+
+    def test_writes_the_pulse_that_run_transmits(self, tmp_path):
+        # the bits follow the scenario seed, as in `jade run` and `jade simulate`
+        assert main(["pulse", "--out", str(tmp_path / "a")]) == 0
+        assert main(["pulse", "--seed", "7", "--out", str(tmp_path / "b")]) == 0
+        _, rows = read_csv(tmp_path / "a" / "pulse_waveform.csv")
+        g = np.array([float(r[1]) for r in rows])
+        assert np.array_equal(g, generate_pulse(default_scenario().resolved().pulse).values)
+        seeded = (tmp_path / "b" / "pulse_waveform.csv").read_bytes()
+        assert seeded != (tmp_path / "a" / "pulse_waveform.csv").read_bytes()
 
 
 class TestSimulateEstimate:
@@ -107,6 +117,15 @@ class TestSimulateEstimate:
         capsys.readouterr()
         assert main(["estimate", *SMALL, "--data", str(data)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_estimate_rejects_non_numeric_sample(self, tmp_path, capsys):
+        data = tmp_path / "snaps.txt"
+        main(["simulate", *SMALL, "--set", "snapshots=2", "--out", str(data)])
+        header, first, rest = data.read_text().split("\n", 2)
+        data.write_text("\n".join([header, "abc:0.0" + first[first.index(","):], rest]))
+        capsys.readouterr()
+        assert main(["estimate", *SMALL, "--data", str(data)]) == 2
+        assert "snapshot 0, sensor 0" in capsys.readouterr().err
 
 
 class TestRunCommand:

@@ -131,7 +131,7 @@ class TestRunPipeline:
         assert run_pipeline(cfg).artifacts is None
         report = run_pipeline(cfg, keep_artifacts=True)
         assert report.artifacts is not None
-        assert report.artifacts.snapshots.num_snapshots == cfg.num_snapshots
+        assert report.artifacts.delays.slope.shape == (cfg.num_snapshots, len(cfg.paths))
 
 
 class TestMonteCarlo:

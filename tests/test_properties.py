@@ -1,0 +1,81 @@
+"""Property tests: every scenario that validates round-trips through its echo."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from jade import scenario_from_dict  # noqa: E402
+
+
+def finite(lo=-1e6, hi=1e6, **kw):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+def optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+# the parameters of each fading kind, each left out or set to a legal value
+FADING_PARAMS = {
+    "deterministic": {"beta_re": finite(), "beta_im": finite()},
+    "rayleigh": {"sigma": finite(0.0, 1e3, exclude_min=True)},
+    "rician": {"nu": finite(0.0, 1e3), "sigma": finite(0.0, 1e3, exclude_min=True)},
+    "suzuki": {"sigma": finite(0.0, 1e3, exclude_min=True), "mean_db": finite(-60.0, 60.0),
+               "std_db": finite(0.0, 30.0)},
+}
+
+
+@st.composite
+def scenario_keys(draw):
+    """A key map that validates: 1-6 paths with fractional or negative delays."""
+    symbols = draw(st.integers(1, 64))
+    oversample = draw(st.integers(1, 8))
+    half = symbols * oversample / 2
+    paths = draw(st.lists(
+        st.tuples(finite(-90.0, 90.0, exclude_min=True, exclude_max=True),
+                  finite(-half, half, exclude_min=True, exclude_max=True)),
+        min_size=1, max_size=6))
+    kind = draw(st.sampled_from(sorted(FADING_PARAMS)))
+    raw = {
+        "rolloff": draw(finite(0.0, 1.0, exclude_min=True)),
+        "carrier_freq": draw(finite(0.0, 10.0)),
+        "symbols": symbols,
+        "oversample": oversample,
+        "sensors": draw(st.integers(2, 256)),
+        "spacing": draw(finite(0.0, 0.5, exclude_min=True)),
+        "angles_deg": [a for a, _ in paths],
+        "delays": [d for _, d in paths],
+        "fading": kind,
+        "snapshots": draw(st.integers(1, 10_000)),
+        "noise_var": draw(finite(0.0, 1e4)),
+        "band_threshold": draw(finite(0.0, 1.0, exclude_max=True)),
+        "weighted_fit": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**32)),
+        # bits, a bits seed or neither: a seed beside the bits is ignored and not echoed
+        **draw(st.one_of(st.just({}),
+                         st.fixed_dictionaries({"bits": st.text("01", min_size=symbols,
+                                                                max_size=symbols)}),
+                         st.fixed_dictionaries({"bits_seed": st.integers(0, 2**32)}))),
+        "forward_backward": draw(optional(st.booleans())),
+        "prediction_order": draw(optional(st.integers(1, 128))),
+        "rank": draw(optional(st.integers(1, 128))),
+        **{key: draw(optional(value)) for key, value in FADING_PARAMS[kind].items()},
+    }
+    return {key: value for key, value in raw.items() if value is not None}
+
+
+def as_text(echo):
+    """The echo as the strings a config file or ``--set`` delivers."""
+    return {k: ",".join(map(str, v)) if isinstance(v, list) else str(v) for k, v in echo.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_keys())
+def test_echo_rebuilds_the_scenario(raw):
+    cfg = scenario_from_dict(raw)
+    echo = cfg.to_dict()
+    again = scenario_from_dict(echo)
+    assert again.to_dict() == echo
+    assert again.resolved() == cfg.resolved()
+    assert scenario_from_dict(as_text(echo)).to_dict() == echo
