@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -228,6 +229,7 @@ def _cmd_estimate(args) -> int:
             f"dataset has N={snaps.num_samples} samples but the configured "
             f"pulse has N={len(wave)}"
         )
+    replace(cfg, array=snaps.array).validate()  # Prony settings must fit the dataset's array
     _emit_report(args, estimate(snaps, wave, cfg))
     return EXIT_OK
 

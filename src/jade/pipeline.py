@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,14 +40,6 @@ __all__ = [
 
 CONFIG_SCHEMA = 1
 REPORT_SCHEMA = "jade-report/1"
-# Fading parameters and the kinds that use them; any other kind rejects them.
-FADING_KEYS = {"beta_re": ("deterministic",), "beta_im": ("deterministic",),
-               "sigma": ("rayleigh", "rician", "suzuki"), "nu": ("rician",),
-               "mean_db": ("suzuki",), "std_db": ("suzuki",)}
-# Config keys a run on given snapshots reads; the others describe their synthesis.
-ESTIMATE_KEYS = ("schema", "rolloff", "carrier_freq", "symbols", "oversample", "bits",
-                 "bits_seed", "sensors", "spacing", "snapshots", "band_threshold",
-                 "forward_backward", "weighted_fit", "prediction_order", "rank", "seed")
 
 
 @dataclass
@@ -62,7 +54,7 @@ class PipelineArtifacts:
 
 @dataclass
 class ScenarioConfig:
-    """Complete synthesis + estimation scenario; :func:`scenario_from_dict` has the defaults."""
+    """Complete synthesis + estimation scenario; :data:`CONFIG_KEYS` has the defaults."""
 
     pulse: PulseConfig
     array: ArrayConfig
@@ -93,11 +85,15 @@ class ScenarioConfig:
             )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.prony is not None and self.prony.num_modes != len(self.paths):
+        prony = self.prony
+        if prony is not None and prony.num_modes != len(self.paths):
             raise ValidationError(
-                f"prony.num_modes ({self.prony.num_modes}) must equal the "
+                f"prony.num_modes ({prony.num_modes}) must equal the "
                 f"number of paths ({len(self.paths)})"
             )
+        if prony is not None and (prony.prediction_order, prony.rank) != (None, None):
+            # explicit settings must fit the 2M-1 lags of this array's correlation
+            prony.resolved(self.array.num_sensors)
 
     def resolved(self) -> "ScenarioConfig":
         """Fill derived defaults (prony config, pulse bit seed)."""
@@ -109,39 +105,11 @@ class ScenarioConfig:
         return replace(self, pulse=pulse, prony=prony)
 
     def to_dict(self) -> dict:
-        """Flat key/value echo; feeding it back rebuilds this scenario."""
+        """Flat echo in :data:`CONFIG_KEYS` order; feeding it back rebuilds this scenario."""
         cfg = self.resolved()
-        out = {
-            "schema": CONFIG_SCHEMA,
-            "rolloff": cfg.pulse.rolloff,
-            "carrier_freq": cfg.pulse.carrier_freq,
-            "symbols": cfg.pulse.symbol_count,
-            "oversample": cfg.pulse.oversample,
-            "sensors": cfg.array.num_sensors,
-            "spacing": cfg.array.spacing,
-            "angles_deg": [p.angle_deg for p in cfg.paths],
-            "delays": [p.delay for p in cfg.paths],
-            "fading": cfg.fading.kind,
-            "snapshots": cfg.num_snapshots,
-            "noise_var": cfg.noise_var,
-            "band_threshold": cfg.band_threshold,
-            "forward_backward": cfg.prony.forward_backward,
-            "weighted_fit": cfg.weighted_fit,
-            "seed": cfg.seed,
-        }
-        if cfg.pulse.bits is not None:
-            out["bits"] = "".join(str(int(b)) for b in np.asarray(cfg.pulse.bits))
-        else:
-            out["bits_seed"] = cfg.pulse.bits_seed
-        fm = cfg.fading
-        params = {"beta_re": fm.beta.real, "beta_im": fm.beta.imag, "sigma": fm.sigma,
-                  "nu": fm.nu, "mean_db": fm.mean_db, "std_db": fm.std_db}
-        out.update((k, v) for k, v in params.items() if fm.kind in FADING_KEYS[k])
-        if cfg.prony.prediction_order is not None:
-            out["prediction_order"] = cfg.prony.prediction_order
-        if cfg.prony.rank is not None:
-            out["rank"] = cfg.prony.rank
-        return out
+        echo = ((key, row.echo(cfg)) for key, row in CONFIG_KEYS.items()
+                if not row.fading or cfg.fading.kind in row.fading)
+        return {key: value for key, value in echo if value is not None}
 
 
 def default_scenario() -> ScenarioConfig:
@@ -149,123 +117,132 @@ def default_scenario() -> ScenarioConfig:
     return scenario_from_dict({})
 
 
-_TRUTHY = {"1", "true", "yes", "on"}
-_FALSY = {"0", "false", "no", "off"}
+def _expect(what: str, convert):
+    """A key parser: ``convert(value)``, or a ValidationError naming the key and ``what``."""
+    def parse(key: str, value):
+        try:
+            return convert(value)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValidationError(f"{key}: expected {what}, got {value!r}") from exc
+    return parse
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in _TRUTHY:
-        return True
-    if low in _FALSY:
-        return False
-    raise ValidationError(f"{key}: expected a boolean, got {raw!r}")
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
-def _number(raw: dict, key: str, kind, default=None):
-    """``kind(raw[key])`` (int or float), or ``default`` when the key is absent."""
-    if key not in raw:
-        return default
-    try:
-        return kind(raw[key])
-    except (TypeError, ValueError) as exc:
-        what = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{key}: expected {what}, got {raw[key]!r}") from exc
+def _floats(value) -> List[float]:
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    return [float(x) for x in items if str(x).strip()]
 
 
-def _parse_float_list(key: str, raw) -> List[float]:
-    if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
-    try:
-        return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"{key}: expected comma-separated numbers, got {raw!r}") from exc
+def _fading_kind(value) -> str:
+    kind = str(value).strip().lower()
+    if kind not in FadingModel._KINDS:
+        raise ValueError(kind)
+    return kind
 
 
-_KNOWN_KEYS = {
-    "schema", "rolloff", "carrier_freq", "symbols", "oversample", "bits", "bits_seed",
-    "sensors", "spacing", "angles_deg", "delays", "fading", "sigma", "nu",
-    "mean_db", "std_db", "beta_re", "beta_im", "snapshots", "noise_var",
-    "band_threshold", "prediction_order", "rank", "forward_backward", "weighted_fit",
-    "seed",
+def _schema(key: str, value) -> int:
+    if _INT(key, value) != CONFIG_SCHEMA:
+        raise ValidationError(f"unsupported config schema {value} (expected {CONFIG_SCHEMA})")
+    return CONFIG_SCHEMA
+
+
+_INT = _expect("an integer", int)
+_FLOAT = _expect("a number", float)
+_BOOL = _expect("a boolean", lambda v: v if isinstance(v, bool) else _BOOLS[str(v).strip().lower()])
+# PulseConfig.validate rejects digits other than 0 and 1
+_BITS = _expect("a 0/1 string", lambda v: [int(ch) for ch in str(v).strip()])
+_FLOATS = _expect("comma-separated numbers", _floats)
+
+
+class _Key(NamedTuple):
+    """One config key: parser, default, and the echo of a resolved scenario (None: left out)."""
+
+    parse: Callable[[str, object], object]
+    default: object
+    echo: Callable[[ScenarioConfig], object]
+    fading: Tuple[str, ...] = ()  # the fading kinds that take the key; () for every kind
+    estimate: bool = False  # estimate() reads it, so its report echoes it
+
+
+# Every config key, in echo order; the shipped defaults are stated here only.
+CONFIG_KEYS = {
+    "schema": _Key(_schema, CONFIG_SCHEMA, lambda c: CONFIG_SCHEMA, estimate=True),
+    "rolloff": _Key(_FLOAT, 0.35, lambda c: c.pulse.rolloff, estimate=True),
+    "carrier_freq": _Key(_FLOAT, 0.25, lambda c: c.pulse.carrier_freq, estimate=True),
+    "symbols": _Key(_INT, 32, lambda c: c.pulse.symbol_count, estimate=True),
+    "oversample": _Key(_INT, 4, lambda c: c.pulse.oversample, estimate=True),
+    "sensors": _Key(_INT, 64, lambda c: c.array.num_sensors, estimate=True),
+    "spacing": _Key(_FLOAT, 0.5, lambda c: c.array.spacing, estimate=True),
+    # the path count is the number of modes estimation looks for
+    "angles_deg": _Key(_FLOATS, [-10.0, 20.0], lambda c: [p.angle_deg for p in c.paths],
+                       estimate=True),
+    "delays": _Key(_FLOATS, [3.0, 7.0], lambda c: [p.delay for p in c.paths], estimate=True),
+    "fading": _Key(_expect(f"one of {FadingModel._KINDS}", _fading_kind), "rayleigh",
+                   lambda c: c.fading.kind),
+    "snapshots": _Key(_INT, 200, lambda c: c.num_snapshots, estimate=True),
+    "noise_var": _Key(_FLOAT, 0.0, lambda c: c.noise_var),
+    "band_threshold": _Key(_FLOAT, 0.1, lambda c: c.band_threshold, estimate=True),
+    "forward_backward": _Key(_BOOL, False, lambda c: c.prony.forward_backward, estimate=True),
+    "weighted_fit": _Key(_BOOL, False, lambda c: c.weighted_fit, estimate=True),
+    "seed": _Key(_INT, 1, lambda c: c.seed, estimate=True),
+    "bits": _Key(_BITS, None, lambda c: None if c.pulse.bits is None
+                 else "".join(str(int(b)) for b in np.asarray(c.pulse.bits)), estimate=True),
+    # resolved() draws absent bits from the scenario seed
+    "bits_seed": _Key(_INT, None, lambda c: c.pulse.bits_seed if c.pulse.bits is None else None,
+                      estimate=True),
+    "beta_re": _Key(_FLOAT, 1.0, lambda c: c.fading.beta.real, ("deterministic",)),
+    "beta_im": _Key(_FLOAT, 0.0, lambda c: c.fading.beta.imag, ("deterministic",)),
+    "sigma": _Key(_FLOAT, 1.0, lambda c: c.fading.sigma, ("rayleigh", "rician", "suzuki")),
+    "nu": _Key(_FLOAT, 0.0, lambda c: c.fading.nu, ("rician",)),
+    "mean_db": _Key(_FLOAT, 0.0, lambda c: c.fading.mean_db, ("suzuki",)),
+    "std_db": _Key(_FLOAT, 6.0, lambda c: c.fading.std_db, ("suzuki",)),
+    "prediction_order": _Key(_INT, None, lambda c: c.prony.prediction_order, estimate=True),
+    "rank": _Key(_INT, None, lambda c: c.prony.rank, estimate=True),
 }
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Build a scenario from a flat key/value mapping (config file or echo).
 
-    Every key is optional; the shipped defaults are stated here only.
+    Every key is optional; an absent key takes its :data:`CONFIG_KEYS` default.
     """
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    if "schema" in raw and _number(raw, "schema", int) != CONFIG_SCHEMA:
-        raise ValidationError(
-            f"unsupported config schema {raw['schema']} (expected {CONFIG_SCHEMA})"
-        )
-
-    bits = None
-    if "bits" in raw:
-        bit_str = str(raw["bits"]).strip()
-        if set(bit_str) - {"0", "1"}:
-            raise ValidationError(f"bits must be a 0/1 string, got {raw['bits']!r}")
-        bits = [int(ch) for ch in bit_str]
-    pulse = PulseConfig(
-        rolloff=_number(raw, "rolloff", float, 0.35),
-        carrier_freq=_number(raw, "carrier_freq", float, 0.25),
-        symbol_count=_number(raw, "symbols", int, 32),
-        oversample=_number(raw, "oversample", int, 4),
-        bits=bits,
-        bits_seed=_number(raw, "bits_seed", int),
-    )
-    array = ArrayConfig(
-        num_sensors=_number(raw, "sensors", int, 64), spacing=_number(raw, "spacing", float, 0.5)
-    )
-    angles = _parse_float_list("angles_deg", raw.get("angles_deg", [-10.0, 20.0]))
-    delays = _parse_float_list("delays", raw.get("delays", [3.0, 7.0]))
-    if len(angles) != len(delays):
-        raise ValidationError(
-            f"angles_deg ({len(angles)}) and delays ({len(delays)}) differ in length"
-        )
-    paths = [PathParam(angle_deg=a, delay=d) for a, d in zip(angles, delays)]
-
-    kind = str(raw.get("fading", "rayleigh")).strip().lower()
-    if kind not in FadingModel._KINDS:
-        raise ValidationError(f"unknown fading kind {kind!r}")
-    for key, kinds in FADING_KEYS.items():
-        if key in raw and kind not in kinds:
+    v = {key: row.parse(key, raw[key]) if key in raw else row.default
+         for key, row in CONFIG_KEYS.items()}
+    kind = v["fading"]
+    for key in raw:
+        if CONFIG_KEYS[key].fading and kind not in CONFIG_KEYS[key].fading:
             raise ValidationError(f"{key} is not a parameter of {kind} fading")
-    fading = FadingModel(
-        kind=kind,
-        beta=complex(_number(raw, "beta_re", float, 1.0), _number(raw, "beta_im", float, 0.0)),
-        sigma=_number(raw, "sigma", float, 1.0),
-        nu=_number(raw, "nu", float, 0.0),
-        mean_db=_number(raw, "mean_db", float, 0.0),
-        std_db=_number(raw, "std_db", float, 6.0 if kind == "suzuki" else 0.0),
-    )
-
-    prony = None
-    if any(k in raw for k in ("prediction_order", "rank", "forward_backward")):
-        fb = raw.get("forward_backward", False)
-        prony = PronyConfig(
-            num_modes=len(paths),
-            prediction_order=_number(raw, "prediction_order", int),
-            rank=_number(raw, "rank", int),
-            forward_backward=fb if isinstance(fb, bool) else _parse_bool("forward_backward", fb),
+    if "bits" in raw and "bits_seed" in raw:
+        raise ValidationError("bits_seed is not a parameter of a pulse with explicit bits")
+    if len(v["angles_deg"]) != len(v["delays"]):
+        raise ValidationError(
+            f"angles_deg ({len(v['angles_deg'])}) and delays ({len(v['delays'])}) differ in length"
         )
-
-    weighted = raw.get("weighted_fit", False)
+    # the parameters of other kinds keep FadingModel's defaults, as its constructors do
+    params = {key: v[key] for key, row in CONFIG_KEYS.items() if kind in row.fading}
+    if kind == "deterministic":
+        params = {"beta": complex(params["beta_re"], params["beta_im"])}
+    num_modes = len(v["delays"])
+    prony = PronyConfig(num_modes, v["prediction_order"], v["rank"], v["forward_backward"])
     return ScenarioConfig(
-        pulse=pulse,
-        array=array,
-        paths=paths,
-        fading=fading,
-        num_snapshots=_number(raw, "snapshots", int, 200),
-        noise_var=_number(raw, "noise_var", float, 0.0),
-        band_threshold=_number(raw, "band_threshold", float, 0.1),
-        prony=prony,
-        weighted_fit=weighted if isinstance(weighted, bool) else _parse_bool("weighted_fit", weighted),
-        seed=_number(raw, "seed", int, 1),
+        pulse=PulseConfig(v["rolloff"], v["carrier_freq"], v["symbols"], v["oversample"],
+                          v["bits"], v["bits_seed"]),
+        array=ArrayConfig(num_sensors=v["sensors"], spacing=v["spacing"]),
+        paths=[PathParam(angle_deg=a, delay=d) for a, d in zip(v["angles_deg"], v["delays"])],
+        fading=FadingModel(kind=kind, **params),
+        num_snapshots=v["snapshots"],
+        noise_var=v["noise_var"],
+        band_threshold=v["band_threshold"],
+        # default settings are left to resolved(), so they follow a later change of paths
+        prony=None if prony == PronyConfig(num_modes) else prony,
+        weighted_fit=v["weighted_fit"],
+        seed=v["seed"],
     )
 
 
@@ -361,9 +338,10 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
     Stages: pulse spectrum, band selection, spatial correlation, SVD Prony
     (angles), beamforming, phase slope fit (delays). ``cfg`` must be
     resolved; only its estimation settings are read, and only those (the
-    ``ESTIMATE_KEYS``, with the array and snapshot count of ``snaps``) are
-    echoed. Any stage failure is reported with the stage name. The report
-    carries no truth fields and keeps the stage outputs in ``artifacts``.
+    :data:`CONFIG_KEYS` marked ``estimate``, with the array and snapshot
+    count of ``snaps``) are echoed. Any stage failure is reported with the
+    stage name. The report carries no truth fields and keeps the stage
+    outputs in ``artifacts``.
     """
     started = time.perf_counter()
     pulse_spec = _stage("spectrum", spectrum, pulse_wave)
@@ -375,7 +353,7 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
     echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
                 snapshots=snaps.num_snapshots)
     return RunReport(
-        config={k: v for k, v in echo.items() if k in ESTIMATE_KEYS},
+        config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate},
         seed=cfg.seed,
         sines_est=modes.sines.tolist(),
         angles_est_deg=modes.angles_deg.tolist(),

@@ -247,12 +247,31 @@ class TestScenarioKeys:
         report = json.loads(capsys.readouterr().out)
         assert np.allclose(report["angles_est_deg"], [0.0, 40.0], atol=0.1)
         config = report["config"]
-        for key in ("angles_deg", "delays", "fading", "sigma", "noise_var"):
+        for key in ("fading", "sigma", "noise_var"):
             assert key not in config
+        # the path count sets the number of modes estimated
+        assert len(config["angles_deg"]) == len(config["delays"]) == 2
         assert config["sensors"] == 8
         assert config["spacing"] == 0.5
         assert config["snapshots"] == 5
         assert config["bits_seed"] == 1 and config["seed"] == 1
+
+
+    def test_estimate_echo_fed_back_keeps_the_path_count(self, tmp_path, capsys):
+        data = tmp_path / "snaps.txt"
+        scenario = ["--set", "angles_deg=15", "--set", "delays=4", "--set", "sensors=8",
+                    "--snapshots", "5"]
+        assert main(["simulate", *scenario, "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", *scenario, "--data", str(data)]) == 0
+        first = json.loads(capsys.readouterr().out)
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text("".join(f"{k} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+                               for k, v in first["config"].items()))
+        assert main(["estimate", "--config", str(cfg), "--data", str(data)]) == 0
+        again = json.loads(capsys.readouterr().out)
+        assert np.allclose(again["angles_est_deg"], [15.0], atol=0.1)
+        assert again == first
 
 
 class TestMonteCarloCommand:
@@ -308,6 +327,26 @@ class TestExitCodes:
         # Rayleigh's sigma is a default, not a setting; switching kind must not trip on it
         assert main(["run", *SMALL, "--set", "fading=deterministic"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["fading"] == "deterministic"
+
+    def test_bits_seed_beside_bits_is_2(self, capsys):
+        args = ["--set", "sensors=8", "--set", "bits=" + "01" * 16, "--set", "bits_seed=5"]
+        assert main(["run", "--snapshots", "5", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bits_seed" in captured.err
+
+    @pytest.mark.parametrize("setting", ["prediction_order=12", "rank=9"])
+    def test_prony_settings_too_large_for_the_array_are_2(self, tmp_path, capsys, setting):
+        assert main(["run", "--snapshots", "5", "--set", "sensors=8", "--set", setting]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+        # estimate checks them against the dataset's array, not the config's
+        data = tmp_path / "snaps.txt"
+        assert main(["simulate", "--snapshots", "5", "--set", "sensors=8", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--snapshots", "5", "--set", setting, "--data", str(data)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_estimation_failure_is_3(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -1,6 +1,8 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from jade import (
     run_pipeline,
     scenario_from_dict,
 )
-from jade.pipeline import trial_seed
+from jade.pipeline import CONFIG_KEYS, trial_seed
 
 
 def small_scenario(**kw):
@@ -203,6 +205,14 @@ class TestConfigHandling:
         }
         assert default_scenario().resolved().prony == PronyConfig(num_modes=2)
 
+    def test_readme_config_table_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Config file", 1)[1].split("\n## ", 1)[0]
+        first_cells = [line.split("|")[1] for line in section.splitlines()
+                       if line.startswith("| `")]
+        documented = {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
+        assert documented == set(CONFIG_KEYS) - {"schema"}
+
     def test_load_config_file(self, tmp_path):
         text = """
         # reference scenario with a smaller array
@@ -234,6 +244,10 @@ class TestConfigHandling:
         cfg = replace(default_scenario(), pulse=PulseConfig(0.35, 0.25, 32, 4, bits=bits))
         echoed = scenario_from_dict(cfg.to_dict())
         assert list(echoed.pulse.bits) == bits
+
+    def test_bits_seed_beside_bits_rejected(self):
+        with pytest.raises(ValidationError, match="bits_seed"):
+            scenario_from_dict({"bits": "01" * 16, "bits_seed": 5})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError, match="unknown config keys"):
@@ -294,3 +308,20 @@ class TestConfigHandling:
         cfg = replace(default_scenario(), seed=-1)
         with pytest.raises(ValidationError):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "prony,ok",
+        [(PronyConfig(2, prediction_order=7, rank=7), True),
+         (PronyConfig(2, prediction_order=8), False),
+         (PronyConfig(2, prediction_order=0), False),
+         (PronyConfig(2, rank=6), False),  # above the default order (2*8-1)//3 = 5
+         (PronyConfig(2, prediction_order=4, rank=5), False)],
+    )
+    def test_prony_settings_must_fit_the_array(self, prony, ok):
+        # 8 sensors give 2*8-1 lags, so the prediction order is at most 7
+        cfg = replace(default_scenario(), array=ArrayConfig(8, 0.5), prony=prony)
+        if ok:
+            cfg.validate()
+        else:
+            with pytest.raises(ValidationError):
+                cfg.validate()

@@ -6,6 +6,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from jade import scenario_from_dict  # noqa: E402
+from jade.cli import _load_scenario, build_parser  # noqa: E402
 
 
 def finite(lo=-1e6, hi=1e6, **kw):
@@ -37,12 +38,18 @@ def scenario_keys(draw):
                   finite(-half, half, exclude_min=True, exclude_max=True)),
         min_size=1, max_size=6))
     kind = draw(st.sampled_from(sorted(FADING_PARAMS)))
+    sensors = draw(st.integers(2, 256))
+    # explicit Prony settings fit the 2M-1 lags: paths <= rank <= order <= M-1, and an
+    # absent order defaults to (2M-1)//3
+    order = draw(optional(st.integers(len(paths), sensors - 1))) if len(paths) < sensors else None
+    top = (2 * sensors - 1) // 3 if order is None else order
+    rank = draw(optional(st.integers(len(paths), top))) if len(paths) <= top else None
     raw = {
         "rolloff": draw(finite(0.0, 1.0, exclude_min=True)),
         "carrier_freq": draw(finite(0.0, 10.0)),
         "symbols": symbols,
         "oversample": oversample,
-        "sensors": draw(st.integers(2, 256)),
+        "sensors": sensors,
         "spacing": draw(finite(0.0, 0.5, exclude_min=True)),
         "angles_deg": [a for a, _ in paths],
         "delays": [d for _, d in paths],
@@ -52,14 +59,14 @@ def scenario_keys(draw):
         "band_threshold": draw(finite(0.0, 1.0, exclude_max=True)),
         "weighted_fit": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**32)),
-        # bits, a bits seed or neither: a seed beside the bits is ignored and not echoed
+        # bits, a bits seed or neither: a seed beside the bits is rejected
         **draw(st.one_of(st.just({}),
                          st.fixed_dictionaries({"bits": st.text("01", min_size=symbols,
                                                                 max_size=symbols)}),
                          st.fixed_dictionaries({"bits_seed": st.integers(0, 2**32)}))),
         "forward_backward": draw(optional(st.booleans())),
-        "prediction_order": draw(optional(st.integers(1, 128))),
-        "rank": draw(optional(st.integers(1, 128))),
+        "prediction_order": order,
+        "rank": rank,
         **{key: draw(optional(value)) for key, value in FADING_PARAMS[kind].items()},
     }
     return {key: value for key, value in raw.items() if value is not None}
@@ -79,3 +86,11 @@ def test_echo_rebuilds_the_scenario(raw):
     assert again.to_dict() == echo
     assert again.resolved() == cfg.resolved()
     assert scenario_from_dict(as_text(echo)).to_dict() == echo
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_keys())
+def test_echo_rebuilds_the_scenario_through_set(raw):
+    echo = scenario_from_dict(raw).to_dict()
+    argv = ["run", *[arg for k, v in as_text(echo).items() for arg in ("--set", f"{k}={v}")]]
+    assert _load_scenario(build_parser().parse_args(argv)).to_dict() == echo
