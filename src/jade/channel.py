@@ -10,7 +10,7 @@ snapshot (block fading) and independent across snapshots and paths.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -192,28 +192,15 @@ class SnapshotSet:
     """Synthesized (or loaded) array snapshots, stored as per-sensor spectra.
 
     ``bins`` is C-contiguous (frequency bin, snapshot, sensor), so the sensor
-    vectors of a run of bins are one block; ``spectra`` views it as
-    (snapshot, sensor, bin). ``data``, the (snapshot, sensor, time) series,
-    is an inverse DFT computed on first read and cached (a loaded dataset
-    starts with the parsed series cached). ``betas`` holds the drawn
-    (snapshot, path) fading coefficients of a synthesized set; loaded sets
-    have ``None``.
+    vectors of a run of bins are one block. It is the only in-memory form:
+    the time series exists only in a dataset file, written and read one
+    snapshot at a time. ``betas`` holds the drawn (snapshot, path) fading
+    coefficients of a synthesized set; loaded sets have ``None``.
     """
 
     bins: np.ndarray
     array: ArrayConfig
     betas: Optional[np.ndarray] = None
-    _data: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    @property
-    def spectra(self) -> np.ndarray:
-        return self.bins.transpose(1, 2, 0)
-
-    @property
-    def data(self) -> np.ndarray:
-        if self._data is None:
-            self._data = np.fft.ifft(self.spectra, axis=-1)
-        return self._data
 
     @property
     def num_snapshots(self) -> int:
@@ -316,14 +303,13 @@ def save_dataset(snaps: SnapshotSet, path) -> None:
     followed by S*M lines (snapshot-major), each holding N comma-separated
     ``re:im`` complex samples.
     """
-    s_count, m, n = snaps.data.shape
+    n, s_count, m = snaps.bins.shape
     with open(path, "w") as fh:
         fh.write(
             f"{DATASET_MAGIC} M={m} N={n} S={s_count} delta={float(snaps.array.spacing)!r}\n"
         )
         for s in range(s_count):
-            for k in range(m):
-                row = snaps.data[s, k]
+            for row in np.fft.ifft(snaps.bins[:, s].T, axis=-1):
                 fh.write(
                     ",".join(f"{float(v.real)!r}:{float(v.imag)!r}" for v in row)
                 )
@@ -352,10 +338,9 @@ def _parse_header(line: str) -> dict:
 def load_dataset(path) -> SnapshotSet:
     """Read a dataset written by :func:`save_dataset`.
 
-    The per-sensor spectra are computed from the time series, and the
-    parsed series itself is kept as the set's ``data``, so reading a file
-    back gives exactly the samples that were written. The fading
-    coefficients are not stored in the file, so ``betas`` is ``None``.
+    Each snapshot's M lines are parsed into one reused (M, N) buffer whose
+    DFT is stored into ``bins``, so the full time series is never held. The
+    fading coefficients are not stored in the file, so ``betas`` is ``None``.
     """
     with open(path) as fh:
         header = _parse_header(fh.readline().strip())
@@ -366,7 +351,8 @@ def load_dataset(path) -> SnapshotSet:
             raise ValidationError(
                 f"dataset header needs S >= 1 and N >= 2, got S={s_count} N={n}"
             )
-        data = np.empty((s_count, m, n), dtype=complex)
+        bins = np.empty((n, s_count, m), dtype=complex)
+        series = np.empty((m, n), dtype=complex)
         for s in range(s_count):
             for k in range(m):
                 line = fh.readline()
@@ -381,13 +367,13 @@ def load_dataset(path) -> SnapshotSet:
                         f"{len(cells) // 2} (snapshot {s}, sensor {k})"
                     )
                 try:
-                    pairs = np.asarray(cells, dtype=float).reshape(n, 2)
+                    # the re, im pairs are a complex row's memory layout
+                    series[k] = np.asarray(cells, dtype=float).view(complex)
                 except ValueError as exc:
                     raise ValidationError(
                         f"non-numeric sample at snapshot {s}, sensor {k}"
                     ) from exc
-                data[s, k] = pairs[:, 0] + 1j * pairs[:, 1]
+            bins[:, s] = np.fft.fft(series, axis=-1).T
         if any(line.strip() for line in fh):
             raise ValidationError(f"dataset has data lines beyond the header's S={s_count}")
-    bins = np.ascontiguousarray(np.fft.fft(data, axis=-1).transpose(2, 0, 1))
-    return SnapshotSet(bins=bins, array=arr, _data=data)
+    return SnapshotSet(bins=bins, array=arr)

@@ -85,15 +85,14 @@ class ScenarioConfig:
             )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        prony = self.prony
-        if prony is not None and prony.num_modes != len(self.paths):
+        prony = self.prony or PronyConfig(num_modes=len(self.paths))
+        if prony.num_modes != len(self.paths):
             raise ValidationError(
                 f"prony.num_modes ({prony.num_modes}) must equal the "
                 f"number of paths ({len(self.paths)})"
             )
-        if prony is not None and (prony.prediction_order, prony.rank) != (None, None):
-            # explicit settings must fit the 2M-1 lags of this array's correlation
-            prony.resolved(self.array.num_sensors)
+        # the settings, default or explicit, must fit the 2M-1 lags of this array's correlation
+        prony.resolved(self.array.num_sensors)
 
     def resolved(self) -> "ScenarioConfig":
         """Fill derived defaults (prony config, pulse bit seed)."""

@@ -49,37 +49,22 @@ class PronyConfig:
     forward_backward: bool = False
 
     def resolved(self, num_lags: int) -> "PronyConfig":
-        """Fill defaults for a sequence with ``num_lags`` one-sided lags."""
+        """Fill defaults for a sequence with ``num_lags`` one-sided lags, and check they fit it."""
         total = 2 * num_lags - 1
-        order = self.prediction_order
-        if order is None:
-            order = total // 3
-        rank = self.rank if self.rank is not None else self.num_modes
-        cfg = replace(self, prediction_order=order, rank=rank)
-        cfg.validate(num_lags)
-        return cfg
-
-    def validate(self, num_lags: int) -> None:
-        total = 2 * num_lags - 1
+        order = total // 3 if self.prediction_order is None else self.prediction_order
+        rank = self.num_modes if self.rank is None else self.rank
         if self.num_modes < 1:
             raise ValidationError(f"num_modes must be >= 1, got {self.num_modes}")
-        p = self.prediction_order
-        if p is None or self.rank is None:
-            return
-        if not self.num_modes <= self.rank <= p:
+        if not self.num_modes <= rank <= order:
             raise ValidationError(
                 f"need num_modes <= rank <= prediction_order, got "
-                f"{self.num_modes} <= {self.rank} <= {p}"
+                f"{self.num_modes} <= {rank} <= {order}"
             )
-        if p > (total - 1) // 2:
+        if order > (total - 1) // 2:
             raise ValidationError(
-                f"prediction_order {p} exceeds (sequence length - 1)/2 = {(total - 1) // 2}"
+                f"prediction_order {order} exceeds (sequence length - 1)/2 = {(total - 1) // 2}"
             )
-        if total < p + self.num_modes + 1:
-            raise ValidationError(
-                f"sequence too short: {total} lags for order {p} and "
-                f"{self.num_modes} modes"
-            )
+        return replace(self, prediction_order=order, rank=rank)
 
 
 @dataclass

@@ -36,7 +36,8 @@ class PulseConfig:
     carrier_freq : float
         Carrier frequency in cycles per symbol period, >= 0.
     symbol_count : int
-        Number of symbol periods covered by the sample window.
+        Number of symbol periods covered by the sample window; even, so
+        the window centred on t = 0 starts on a symbol boundary.
     oversample : int
         Samples per symbol period.
     bits : sequence of {0, 1}, optional
@@ -63,8 +64,8 @@ class PulseConfig:
             raise ValidationError(f"rolloff must be in (0, 1], got {self.rolloff}")
         if not (np.isfinite(self.carrier_freq) and self.carrier_freq >= 0.0):
             raise ValidationError(f"carrier_freq must be finite and >= 0, got {self.carrier_freq}")
-        if self.symbol_count < 1:
-            raise ValidationError(f"symbol_count must be >= 1, got {self.symbol_count}")
+        if self.symbol_count < 2 or self.symbol_count % 2:
+            raise ValidationError(f"symbol_count must be even and >= 2, got {self.symbol_count}")
         if self.oversample < 1:
             raise ValidationError(f"oversample must be >= 1, got {self.oversample}")
         if self.bits is not None:
@@ -142,30 +143,15 @@ def generate_pulse(cfg: PulseConfig) -> SampledWaveform:
     N = symbol_count * oversample, so the pulse peak sits at t = 0 in the
     middle of the window. The removable singularities of the raised-cosine
     factors (t = 0 and |t| = 1/(2*rolloff)) are replaced by their limits.
-
-    Raises
-    ------
-    ValidationError
-        If N is odd, or if some grid point maps outside the bit array
-        (which happens for odd symbol counts).
     """
     cfg.validate()
     bits = cfg.resolve_bits()
     n_total = cfg.num_samples
-    if n_total % 2 != 0:
-        raise ValidationError(
-            f"total sample count must be even for a symmetric grid, got {n_total}"
-        )
     t = (np.arange(n_total) - n_total / 2) / cfg.oversample
 
     # One bit per symbol period [k, k+1); the window spans symbol_count periods
     # centred on t = 0, so the index shift is symbol_count / 2.
-    idx_f = np.floor(t) + cfg.symbol_count / 2
-    idx = idx_f.astype(int)
-    if np.any(idx_f != idx) or idx.min() < 0 or idx.max() >= cfg.symbol_count:
-        raise ValidationError(
-            "time grid does not map onto the bit array; use an even symbol_count"
-        )
+    idx = np.floor(t).astype(int) + cfg.symbol_count // 2
     keyed_phase = np.pi * bits[idx]
 
     # sin(pi t)/(pi t) with the t=0 limit handled by numpy's sinc.

@@ -28,3 +28,13 @@ def wrap_to_principal(phi):
     wrapped = np.angle(np.exp(1j * phi))
     # np.angle returns [-pi, pi]; fold exact -pi up to +pi for (-pi, pi]
     return np.where(wrapped == -np.pi, np.pi, wrapped)
+
+
+def spectra(snaps):
+    """(snapshot, sensor, bin) view of a snapshot set's bin-major spectra."""
+    return snaps.bins.transpose(1, 2, 0)
+
+
+def time_series(snaps):
+    """(snapshot, sensor, time) series of a snapshot set: the inverse DFT of its spectra."""
+    return np.fft.ifft(spectra(snaps), axis=-1)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from jade import (
 )
 from jade.channel import NOISE_ROWS, delayed_pulse_spectrum
 
+from conftest import spectra, time_series
 from test_pulse import zero_bit_cfg
 
 
@@ -43,6 +45,13 @@ def one_path_snaps(pulse, angle_deg=0.0, delay=0.0, sensors=8, snapshots=1):
         0.0,
         seed=0,
     )
+
+
+def read_samples(path, snaps):
+    """The (snapshot, sensor, time) samples of the dataset file written from ``snaps``."""
+    rows = path.read_text().splitlines()[1:]
+    cells = [[complex(*map(float, c.split(":"))) for c in row.split(",")] for row in rows]
+    return np.array(cells).reshape(snaps.num_snapshots, snaps.num_sensors, snaps.num_samples)
 
 
 class TestSteeringVector:
@@ -85,13 +94,13 @@ class TestSynthesize:
     def test_identity_channel(self, pulse_wave):
         snaps = one_path_snaps(pulse_wave)
         for k in range(snaps.num_sensors):
-            err = np.abs(snaps.data[0, k] - pulse_wave.values).max()
+            err = np.abs(time_series(snaps)[0, k] - pulse_wave.values).max()
             assert err < 1e-12 * np.abs(pulse_wave.values).max()
 
     def test_integer_delay_is_circular_shift(self, pulse_wave):
         snaps = one_path_snaps(pulse_wave, delay=5.0)
         expected = np.roll(pulse_wave.values, 5)
-        err = np.abs(snaps.data[0, 0] - expected).max()
+        err = np.abs(time_series(snaps)[0, 0] - expected).max()
         assert err < 1e-10 * np.abs(pulse_wave.values).max()
 
     def test_fractional_delay_matches_frequency_domain(self, pulse_wave):
@@ -100,15 +109,16 @@ class TestSynthesize:
         q = np.arange(n)
         omega = np.where(q <= n // 2, 2 * np.pi * q / n, 2 * np.pi * q / n - 2 * np.pi)
         expected = np.fft.ifft(np.fft.fft(pulse_wave.values) * np.exp(-1j * omega * 2.5))
-        assert np.abs(snaps.data[0, 0] - expected).max() < 1e-12
+        assert np.abs(time_series(snaps)[0, 0] - expected).max() < 1e-12
 
     def test_steering_applied_per_sensor(self, pulse_wave):
         snaps = one_path_snaps(pulse_wave, angle_deg=20.0, sensors=4)
         v = steering_vector(ArrayConfig(4, 0.5), 20.0)
         for k in range(4):
-            assert np.allclose(snaps.data[0, k], v[k] * pulse_wave.values, atol=1e-12)
+            assert np.allclose(time_series(snaps)[0, k], v[k] * pulse_wave.values, atol=1e-12)
 
-    def test_spectra_match_data(self, pulse_wave):
+    def test_spectra_match_data(self, pulse_wave, tmp_path):
+        # the spectra come back from the time series of a dataset file
         snaps = synthesize(
             pulse_wave,
             [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
@@ -118,8 +128,9 @@ class TestSynthesize:
             0.1,
             seed=2,
         )
-        ref = np.fft.fft(snaps.data, axis=-1)
-        err = np.abs(snaps.spectra - ref).max() / np.abs(ref).max()
+        save_dataset(snaps, tmp_path / "data.txt")
+        ref = np.fft.fft(read_samples(tmp_path / "data.txt", snaps), axis=-1)
+        err = np.abs(spectra(snaps) - ref).max() / np.abs(ref).max()
         assert err < 1e-10
 
     def test_matches_time_domain_construction(self, pulse_wave):
@@ -147,7 +158,7 @@ class TestSynthesize:
         fading = FadingModel.rician(nu=nu, sigma=sigma)
         snaps = synthesize(pulse_wave, paths, arr, fading, count, noise_var, seed=seed)
         assert np.array_equal(snaps.betas, betas)
-        assert np.abs(snaps.spectra - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(spectra(snaps) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("kind", sorted(ALL_FADING))
     def test_prefix_stable_for_every_fading_kind(self, pulse_wave, kind):
@@ -186,7 +197,7 @@ class TestSynthesize:
         assert abs(np.mean(bins**2)) < 0.01  # circular
         assert abs(np.mean(bins[1:] * bins[:-1].conj())) < 0.01  # adjacent bins
         assert abs(np.mean(bins[:, :, 1:] * bins[:, :, :-1].conj())) < 0.01  # adjacent sensors
-        assert np.mean(np.abs(snaps.data) ** 2) == pytest.approx(noise_var, rel=0.01)
+        assert np.mean(np.abs(time_series(snaps)) ** 2) == pytest.approx(noise_var, rel=0.01)
 
     def test_noisy_synthesis_holds_one_snapshot_array(self, pulse_wave):
         args = (pulse_wave, TWO_PATHS, ArrayConfig(64, 0.5), FadingModel.rayleigh(1.0), 200, 1.0)
@@ -219,7 +230,7 @@ class TestSynthesize:
         np.testing.assert_allclose(snaps.bins[0, 0, 0], 4.266831027079575 + 9.937965423732352j,
                                    rtol=1e-12, atol=0)
 
-    def test_holds_one_snapshot_array_until_data_is_read(self, pulse_wave):
+    def test_holds_one_snapshot_array_after_save(self, pulse_wave, tmp_path):
         snaps = synthesize(
             pulse_wave, [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)], ArrayConfig(4, 0.5),
             FadingModel.rayleigh(1.0), 3, 0.1, seed=1,
@@ -227,11 +238,12 @@ class TestSynthesize:
         cube = 3 * 4 * len(pulse_wave)
 
         def held():
-            return [v for v in vars(snaps).values() if isinstance(v, np.ndarray)]
+            return {k: v.size for k, v in vars(snaps).items() if isinstance(v, np.ndarray)}
 
-        assert [a.size for a in held()] == [cube, snaps.betas.size]
-        assert snaps.data.shape == (3, 4, len(pulse_wave))
-        assert sorted(a.size for a in held()) == [snaps.betas.size, cube, cube]
+        assert [f.name for f in fields(snaps)] == ["bins", "array", "betas"]
+        assert held() == {"bins": cube, "betas": snaps.betas.size}
+        save_dataset(snaps, tmp_path / "data.txt")
+        assert held() == {"bins": cube, "betas": snaps.betas.size}
 
     def test_reproducible_and_prefix_stable(self, pulse_wave):
         kw = dict(
@@ -242,17 +254,16 @@ class TestSynthesize:
         )
         a = synthesize(pulse_wave, num_snapshots=8, seed=11, **kw)
         b = synthesize(pulse_wave, num_snapshots=8, seed=11, **kw)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.bins, b.bins)
         assert np.array_equal(a.betas, b.betas)
         # snapshot streams are keyed by (seed, snapshot): a shorter run is a
         # prefix of a longer one, so parallel generation cannot change results
         c = synthesize(pulse_wave, num_snapshots=4, seed=11, **kw)
-        assert np.array_equal(c.data, a.data[:4])
+        assert np.array_equal(c.bins, a.bins[:, :4])
 
     def test_bins_are_bin_major(self, pulse_wave, tmp_path):
         # bins is one C-contiguous (bin, snapshot, sensor) array whether it
-        # was synthesized with or without noise or loaded from a file;
-        # spectra is an (S, M, N) view of it and data keeps (S, M, N)
+        # was synthesized with or without noise or loaded from a file
         n, s_count, m = len(pulse_wave), 5, 4
         noiseless = synthesize(pulse_wave, TWO_PATHS, ArrayConfig(m, 0.5),
                                FadingModel.rayleigh(1.0), s_count, seed=3)
@@ -263,9 +274,6 @@ class TestSynthesize:
         for snaps in (noiseless, noisy, loaded):
             assert snaps.bins.shape == (n, s_count, m)
             assert snaps.bins.flags.c_contiguous
-            assert snaps.spectra.shape == (s_count, m, n)
-            assert np.shares_memory(snaps.spectra, snaps.bins)
-            assert snaps.data.shape == (s_count, m, n)
             assert (snaps.num_samples, snaps.num_snapshots, snaps.num_sensors) == (n, s_count, m)
 
     def test_truth_retained(self, pulse_wave):
@@ -292,7 +300,7 @@ class TestSynthesize:
                 0.0,
                 seed=100 + c,
             )
-            total += np.mean(np.abs(snaps.data) ** 2)
+            total += np.mean(np.abs(time_series(snaps)) ** 2)
         assert total / chunks == pytest.approx(closed, rel=0.02)
 
     def test_validation(self, pulse_wave):
@@ -392,13 +400,31 @@ class TestDatasetIO:
         path = tmp_path / "data.txt"
         save_dataset(snaps, path)
         loaded = load_dataset(path)
-        assert loaded.data.shape == snaps.data.shape
-        assert np.array_equal(loaded.data, snaps.data)  # repr-exact round trip
+        samples = read_samples(path, snaps)
+        assert np.array_equal(samples, time_series(snaps))  # repr-exact samples
         assert loaded.array.num_sensors == 4
         assert loaded.array.spacing == 0.5
         assert loaded.betas is None
-        ref = np.fft.fft(loaded.data, axis=-1)
-        assert np.abs(loaded.spectra - ref).max() < 1e-10 * np.abs(ref).max()
+        ref = np.fft.fft(samples, axis=-1)
+        assert np.abs(spectra(loaded) - ref).max() < 1e-10 * np.abs(ref).max()
+
+    def test_save_and_load_hold_one_snapshot_at_a_time(self, pulse_wave, tmp_path):
+        # the time series is formed and parsed one (M, N) snapshot at a time,
+        # never as a second (S, M, N) array beside the spectra
+        snaps = synthesize(pulse_wave, TWO_PATHS, ArrayConfig(16, 0.5),
+                           FadingModel.rayleigh(1.0), 20, 1.0, seed=3)
+        path = tmp_path / "data.txt"
+        peaks = []
+        for step in (lambda: save_dataset(snaps, path), lambda: load_dataset(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1] / snaps.bins.nbytes)
+            finally:
+                tracemalloc.stop()
+        save_peak, load_peak = peaks
+        assert save_peak <= 0.5
+        assert load_peak <= 1.5
 
     def test_header_format(self, pulse_wave, tmp_path):
         snaps = one_path_snaps(pulse_wave, sensors=3, snapshots=2)

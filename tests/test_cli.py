@@ -348,6 +348,30 @@ class TestExitCodes:
         assert main(["estimate", "--snapshots", "5", "--set", setting, "--data", str(data)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["run"], ["montecarlo", "--trials", "2"]])
+    def test_more_paths_than_the_default_order_holds_are_2(self, capsys, command):
+        # two paths need a prediction order of 2, but 2 sensors give (2*2-1)//3 = 1
+        assert main([*command, "--snapshots", "5", "--set", "sensors=2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: need num_modes <= rank <= prediction_order" in captured.err
+
+    def test_estimate_checks_the_default_order_against_the_dataset(self, tmp_path, capsys):
+        data = tmp_path / "snaps.txt"
+        assert main(["simulate", "--snapshots", "5", "--set", "sensors=2",
+                     "--set", "angles_deg=10", "--set", "delays=3", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--snapshots", "5", "--data", str(data)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["simulate"], ["pulse"]])
+    def test_odd_symbol_count_is_2(self, tmp_path, capsys, command):
+        args = ["--snapshots", "3", "--set", "sensors=4", "--set", "symbols=7",
+                "--set", "delays=1,2"]
+        assert main([*command, *args, "--out", str(tmp_path / "out")]) == 2
+        assert "symbol_count must be even" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_estimation_failure_is_3(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise EstimationError("prony", "injected")

@@ -22,6 +22,7 @@ from jade import (
     synthesize,
 )
 
+from conftest import spectra
 from test_pulse import zero_bit_cfg
 
 
@@ -39,7 +40,7 @@ def make_snaps(wave, paths, sensors=8, snapshots=1, fading=None, seed=0):
 
 def naive_correlation(snaps, band):
     """Lag-by-lag mean of x_k * conj(x_{k-l}) (test oracle)."""
-    sub = snaps.spectra[:, :, band]
+    sub = spectra(snaps)[:, :, band]
     s_count, m, b_count = sub.shape
     return np.array(
         [

@@ -12,6 +12,8 @@ from jade import (
     synthesize,
 )
 
+from conftest import spectra
+
 
 def single_path_snaps(wave, angle_deg, delay, sensors=64, snapshots=1, fading=None, seed=0):
     return synthesize(
@@ -96,7 +98,7 @@ class TestBeamform:
         sines = np.sin(np.radians([-29.0, 5.5, 41.0]))
         bf = beamform(snaps, sines)
         weights = np.exp(-2j * np.pi * 0.5 * np.outer(sines, np.arange(16))) / 16
-        ref = np.stack([np.einsum("lk,kn->ln", weights, x) for x in snaps.spectra])
+        ref = np.stack([np.einsum("lk,kn->ln", weights, x) for x in spectra(snaps)])
         assert isinstance(bf, np.ndarray) and bf.dtype == complex
         assert bf.shape == ref.shape == (7, 3, len(wave))
         assert np.abs(bf - ref).max() < 1e-13 * np.abs(ref).max()

@@ -325,3 +325,25 @@ class TestConfigHandling:
         else:
             with pytest.raises(ValidationError):
                 cfg.validate()
+
+    @pytest.mark.parametrize(
+        "sensors,paths,ok",
+        [(2, 1, True), (2, 2, False), (3, 3, False), (5, 3, True), (4, 3, False)],
+    )
+    def test_default_prony_settings_must_fit_the_array(self, sensors, paths, ok):
+        # with no settings the order is (2M-1)//3, and it must hold every path
+        cfg = small_scenario(array=ArrayConfig(sensors, 0.5), num_snapshots=3,
+                             paths=[PathParam(10.0 * i, float(i)) for i in range(paths)])
+        if ok:
+            cfg.validate()
+            assert monte_carlo(cfg, trials=1).num_trials == 1
+        else:
+            with pytest.raises(ValidationError, match="prediction_order"):
+                cfg.validate()
+            with pytest.raises(ValidationError):
+                monte_carlo(cfg, trials=2)
+
+    def test_odd_symbol_count_fails_monte_carlo_as_a_whole(self):
+        cfg = small_scenario(pulse=replace(default_scenario().pulse, symbol_count=7))
+        with pytest.raises(ValidationError, match="even"):
+            monte_carlo(cfg, trials=2)

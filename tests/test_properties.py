@@ -30,20 +30,20 @@ FADING_PARAMS = {
 @st.composite
 def scenario_keys(draw):
     """A key map that validates: 1-6 paths with fractional or negative delays."""
-    symbols = draw(st.integers(1, 64))
+    symbols = 2 * draw(st.integers(1, 32))  # the pulse window needs an even symbol count
     oversample = draw(st.integers(1, 8))
     half = symbols * oversample / 2
+    sensors = draw(st.integers(2, 256))
+    # the Prony settings, explicit or default, fit the 2M-1 lags: paths <= rank <=
+    # order <= M-1, and an absent order defaults to (2M-1)//3
+    order = draw(optional(st.integers(1, sensors - 1)))
+    top = (2 * sensors - 1) // 3 if order is None else order
     paths = draw(st.lists(
         st.tuples(finite(-90.0, 90.0, exclude_min=True, exclude_max=True),
                   finite(-half, half, exclude_min=True, exclude_max=True)),
-        min_size=1, max_size=6))
+        min_size=1, max_size=min(6, top)))
     kind = draw(st.sampled_from(sorted(FADING_PARAMS)))
-    sensors = draw(st.integers(2, 256))
-    # explicit Prony settings fit the 2M-1 lags: paths <= rank <= order <= M-1, and an
-    # absent order defaults to (2M-1)//3
-    order = draw(optional(st.integers(len(paths), sensors - 1))) if len(paths) < sensors else None
-    top = (2 * sensors - 1) // 3 if order is None else order
-    rank = draw(optional(st.integers(len(paths), top))) if len(paths) <= top else None
+    rank = draw(optional(st.integers(len(paths), top)))
     raw = {
         "rolloff": draw(finite(0.0, 1.0, exclude_min=True)),
         "carrier_freq": draw(finite(0.0, 10.0)),

@@ -87,9 +87,13 @@ class TestGeneratePulse:
             generate_pulse(PulseConfig(0.35, 0.25, 3, 3, bits=[0, 0, 0]))
 
     def test_rejects_odd_symbol_count(self):
-        # N is even but the half-window shift does not land on a bit boundary
+        # N is even but the half-window shift does not land on a bit boundary;
+        # validate rejects it before any grid is built, so it is a config error
         with pytest.raises(ValidationError):
             generate_pulse(PulseConfig(0.35, 0.25, 3, 4, bits=[0, 0, 0]))
+        for count in (0, 7):
+            with pytest.raises(ValidationError, match="even"):
+                PulseConfig(0.35, 0.25, count, 4).validate()
 
     def test_grid_definition(self):
         wave = generate_pulse(zero_bit_cfg())
