@@ -195,7 +195,9 @@ class SnapshotSet:
     vectors of a run of bins are one block. It is the only in-memory form:
     the time series exists only in a dataset file, written and read one
     snapshot at a time. ``betas`` holds the drawn (snapshot, path) fading
-    coefficients of a synthesized set; loaded sets have ``None``.
+    coefficients of a synthesized set; loaded sets have ``None``. A set made
+    with ``synthesize``'s ``num_bins`` holds (and ``num_samples`` counts) only
+    those bins; it lives inside ``run_pipeline`` and is never saved.
     """
 
     bins: np.ndarray
@@ -241,6 +243,8 @@ def synthesize(
     num_snapshots: int,
     noise_var: float = 0.0,
     seed: int = 0,
+    *,
+    num_bins: Optional[int] = None,
 ) -> SnapshotSet:
     """Generate array snapshots for the given paths, fading and noise.
 
@@ -253,6 +257,11 @@ def synthesize(
     noise from ``default_rng([seed, 1])``, each in snapshot order with a
     fixed count per snapshot, so a shorter run is a prefix of a longer one
     with the same seed, and ``betas`` do not depend on ``noise_var``, M or N.
+
+    ``num_bins`` keeps only DFT bins 0..num_bins-1 (default all N). Noise is
+    still drawn for all N bins, so from two bins up they equal the full
+    set's first bins bit for bit. Such a set is for in-memory estimation
+    only (``run_pipeline``); never pass it to :func:`save_dataset`.
     """
     arr.validate()
     fading.validate()
@@ -267,28 +276,31 @@ def synthesize(
     n = len(pulse)
     for p in paths:
         p.validate(num_samples=n)
+    kept = n if num_bins is None else num_bins
+    if not 1 <= kept <= n:
+        raise ValidationError(f"num_bins must be in 1..{n}, got {num_bins}")
 
     m = arr.num_sensors
-    # (N, L) delayed pulse spectra and (L, M) steering rows are fixed across snapshots.
-    delayed = np.column_stack([delayed_pulse_spectrum(pulse.values, p.delay) for p in paths])
+    # (kept, L) delayed pulse spectra and (L, M) steering rows are fixed across snapshots.
+    delayed = np.column_stack([delayed_pulse_spectrum(pulse.values, p.delay) for p in paths])[:kept]
     steering = np.array([steering_vector(arr, p.angle_deg) for p in paths])
 
     betas = fading.draw(np.random.default_rng([seed, 0]), (num_snapshots, len(paths)))
     coef = betas[:, :, None] * steering
     if noise_var == 0:
-        # one GEMM: (N, L) delayed spectra by (L, S*M) coefficients
+        # one GEMM: (kept, L) delayed spectra by (L, S*M) coefficients
         coef_t = coef.transpose(1, 0, 2).reshape(len(paths), -1)
-        bins = (delayed @ coef_t).reshape(n, num_snapshots, m)
+        bins = (delayed @ coef_t).reshape(kept, num_snapshots, m)
     else:
-        # The DFT of white CN(0, noise_var) samples is white CN(0, N * noise_var) per
-        # bin; it is drawn in snapshot order into one reused block, stored transposed.
-        bins = np.empty((n, num_snapshots, m), dtype=complex)
+        # The DFT of white CN(0, noise_var) samples is white CN(0, N * noise_var) per bin;
+        # all N are drawn in snapshot order into one reused block, the kept ones stored transposed.
+        bins = np.empty((kept, num_snapshots, m), dtype=complex)
         noise_rng = np.random.default_rng([seed, 1])
         step = max(1, NOISE_ROWS // n)
         chunk = np.empty((min(step, num_snapshots), n, m), dtype=complex)
         for start in range(0, num_snapshots, step):
-            block = chunk[: num_snapshots - start]
-            noise_rng.standard_normal(out=block.view(float))
+            noise_rng.standard_normal(out=chunk[: num_snapshots - start].view(float))
+            block = chunk[: num_snapshots - start, :kept]
             block *= np.sqrt(n * noise_var / 2.0)
             block += delayed @ coef[start:start + len(block)]
             bins[:, start:start + len(block)] = block.transpose(1, 0, 2)

@@ -56,9 +56,15 @@ class PronyConfig:
         if self.num_modes < 1:
             raise ValidationError(f"num_modes must be >= 1, got {self.num_modes}")
         if not self.num_modes <= rank <= order:
+            hint = ""
+            if self.prediction_order is None and self.rank is None:
+                # (2M-1)//3 >= L first holds at M = ceil((3L+1)/2); M lags hold orders up to M-1
+                hint = (f": the default prediction_order (2M-1)//3 is {order} at M={num_lags} "
+                        f"sensors; {rank} paths need at least {(3 * rank + 2) // 2} sensors"
+                        + (f", or set prediction_order={rank}" if rank < num_lags else ""))
             raise ValidationError(
                 f"need num_modes <= rank <= prediction_order, got "
-                f"{self.num_modes} <= {rank} <= {order}"
+                f"{self.num_modes} <= {rank} <= {order}{hint}"
             )
         if order > (total - 1) // 2:
             raise ValidationError(

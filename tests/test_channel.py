@@ -321,6 +321,39 @@ class TestSynthesize:
             synthesize(pulse_wave, [PathParam(95.0, 0.0)], arr, fading, 1)
 
 
+class TestNumBins:
+    # N = 128 (the default), 48 and the odd-half 50; M spans tiny to large arrays
+    PULSES = {128: dict(symbol_count=32, oversample=4), 48: dict(symbol_count=12, oversample=4),
+              50: dict(symbol_count=10, oversample=5)}
+
+    @pytest.mark.parametrize("n", sorted(PULSES))
+    @pytest.mark.parametrize("noise_var", [0.0, 0.7], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("kind", ALL_FADING)
+    def test_kept_bins_are_an_exact_prefix(self, n, noise_var, kind):
+        wave = generate_pulse(zero_bit_cfg(**self.PULSES[n]))
+        # 25 snapshots span several noise blocks at every N
+        for m in (4, 5, 16, 33, 64):
+            kw = dict(pulse=wave, paths=TWO_PATHS, arr=ArrayConfig(m, 0.5),
+                      fading=ALL_FADING[kind], num_snapshots=25, noise_var=noise_var, seed=m)
+            full = synthesize(**kw)
+            for num_bins in (2, n // 2 + 1, n):
+                kept = synthesize(**kw, num_bins=num_bins)
+                assert kept.bins.shape == (num_bins, 25, m)
+                assert kept.bins.flags.c_contiguous
+                assert np.array_equal(kept.bins, full.bins[:num_bins]), (m, num_bins)
+                assert np.array_equal(kept.betas, full.betas)
+            # one kept row is a matrix-vector product, which may round differently
+            one = synthesize(**kw, num_bins=1).bins
+            assert np.abs(one - full.bins[:1]).max() <= 1e-14 * np.abs(full.bins[:1]).max()
+
+    def test_num_bins_outside_the_spectrum_is_rejected(self, pulse_wave):
+        n = len(pulse_wave)
+        for num_bins in (0, -1, n + 1):
+            with pytest.raises(ValidationError, match="num_bins"):
+                synthesize(pulse_wave, TWO_PATHS, ArrayConfig(4, 0.5), FadingModel.rayleigh(1.0),
+                           2, 0.5, seed=1, num_bins=num_bins)
+
+
 class TestFadingModel:
     def test_rayleigh_moments(self):
         rng = np.random.default_rng(0)

@@ -356,6 +356,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error: need num_modes <= rank <= prediction_order" in captured.err
 
+    @pytest.mark.parametrize("sensors, hint", [
+        ("2", "the default prediction_order (2M-1)//3 is 1 at M=2 sensors; "
+              "2 paths need at least 4 sensors\n"),
+        ("3", "the default prediction_order (2M-1)//3 is 1 at M=3 sensors; "
+              "2 paths need at least 4 sensors, or set prediction_order=2\n"),
+    ])
+    def test_default_order_error_says_what_to_change(self, capsys, sensors, hint):
+        assert main(["run", "--snapshots", "5", "--set", f"sensors={sensors}"]) == 2
+        assert capsys.readouterr().err.endswith(hint)
+        if "prediction_order=2" in hint:
+            assert main(["run", "--snapshots", "5", "--set", f"sensors={sensors}",
+                         "--set", "prediction_order=2"]) == 0
+
     def test_estimate_checks_the_default_order_against_the_dataset(self, tmp_path, capsys):
         data = tmp_path / "snaps.txt"
         assert main(["simulate", "--snapshots", "5", "--set", "sensors=2",

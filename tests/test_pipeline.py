@@ -16,12 +16,14 @@ from jade import (
     PulseConfig,
     ValidationError,
     default_scenario,
+    generate_pulse,
     load_config,
     monte_carlo,
     run_pipeline,
     scenario_from_dict,
+    synthesize,
 )
-from jade.pipeline import CONFIG_KEYS, trial_seed
+from jade.pipeline import CONFIG_KEYS, ScenarioConfig, estimate, trial_seed
 
 
 def small_scenario(**kw):
@@ -128,6 +130,36 @@ class TestRunPipeline:
         assert np.abs(np.subtract(forward.angles_est_deg, backward.angles_est_deg)).max() < 1e-9
         assert np.abs(np.subtract(forward.slope_median, backward.slope_median)).max() < 1e-9
 
+    @pytest.mark.parametrize("noise_var", [0.0, 0.5], ids=["noiseless", "noisy"])
+    def test_report_equals_estimate_on_the_full_set(self, noise_var):
+        # the half set run_pipeline synthesizes gives the report of the full set
+        cfg = small_scenario(noise_var=noise_var).resolved()
+        wave = generate_pulse(cfg.pulse)
+        full = synthesize(wave, cfg.paths, cfg.array, cfg.fading, cfg.num_snapshots,
+                          cfg.noise_var, cfg.seed)
+        report = estimate(full, wave, cfg)
+        expected = replace(
+            report,
+            config=cfg.to_dict(),
+            angles_true_deg=[-10.0, 20.0],
+            delays_true=[3.0, 7.0],
+            angle_errors_deg=(np.asarray(report.angles_est_deg) - [-10.0, 20.0]).tolist(),
+            delay_errors=(np.asarray(report.delay_median) - [3.0, 7.0]).tolist(),
+        )
+        assert run_pipeline(cfg).to_json() == expected.to_json()
+
+    def test_synthesizes_only_the_non_negative_bins(self, monkeypatch):
+        held = []
+
+        def capture(snaps, pulse_wave, cfg):
+            held.append(snaps.bins.shape)
+            return estimate(snaps, pulse_wave, cfg)
+
+        monkeypatch.setattr("jade.pipeline.estimate", capture)
+        run_pipeline(small_scenario())
+        run_pipeline(small_scenario(noise_var=1.0))
+        assert held == [(65, 20, 16)] * 2
+
     def test_artifacts_only_on_request(self):
         cfg = small_scenario()
         assert run_pipeline(cfg).artifacts is None
@@ -187,6 +219,23 @@ class TestMonteCarlo:
             rmses.append(float(np.sqrt(np.mean(np.array(
                 [t["angle_errors_deg"] for t in mc.trials]) ** 2))))
         assert rmses[1] < rmses[0]
+
+    def test_config_is_validated_once_per_run(self, monkeypatch):
+        calls = {"n": 0}
+        real_validate = ScenarioConfig.validate
+
+        def counting(cfg):
+            calls["n"] += 1
+            real_validate(cfg)
+
+        monkeypatch.setattr(ScenarioConfig, "validate", counting)
+        cfg = small_scenario(num_snapshots=5)
+        run_pipeline(cfg)
+        assert calls["n"] == 1
+        calls["n"] = 0
+        # once for the base config, once per trial and once for the echo
+        monte_carlo(cfg, trials=10)
+        assert calls["n"] == 12
 
     def test_rejects_bad_trial_count(self):
         with pytest.raises(ValidationError):

@@ -159,3 +159,24 @@ class TestSvdProny:
         cfg = PronyConfig(num_modes=1).resolved(64)
         assert cfg.prediction_order == (2 * 64 - 1) // 3
         assert cfg.rank == 1
+
+    @pytest.mark.parametrize("paths", range(1, 7))
+    def test_default_order_error_names_the_fewest_sensors(self, paths):
+        # (2M-1)//3 >= L first holds at M = ceil((3L+1)/2)
+        fewest = -(-(3 * paths + 1) // 2)
+        assert PronyConfig(num_modes=paths).resolved(fewest).prediction_order >= paths
+        with pytest.raises(ValidationError) as info:
+            PronyConfig(num_modes=paths).resolved(fewest - 1)
+        message = str(info.value)
+        assert f"default prediction_order (2M-1)//3 is {(2 * fewest - 3) // 3} " in message
+        assert f"at M={fewest - 1} sensors; {paths} paths need at least {fewest} sensors" in message
+        # the suggested order is one the array holds, so following it resolves
+        suggestion = f", or set prediction_order={paths}"
+        assert (suggestion in message) == (paths <= fewest - 2)
+        if paths <= fewest - 2:
+            PronyConfig(num_modes=paths, prediction_order=paths).resolved(fewest - 1)
+
+    def test_explicit_order_error_has_no_hint(self):
+        with pytest.raises(ValidationError) as info:
+            PronyConfig(num_modes=2, prediction_order=1).resolved(64)
+        assert str(info.value) == "need num_modes <= rank <= prediction_order, got 2 <= 2 <= 1"
