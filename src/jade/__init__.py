@@ -2,8 +2,8 @@
 
 Synthesizes snapshots of a known keyed raised-cosine pulse arriving at a
 uniform linear array over several randomly faded paths, then estimates
-each path's angle of arrival (spatial-lag correlation + SVD-truncated
-linear prediction) and time delay (beamforming + phase-slope line fit).
+each path's angle of arrival (spatial-lag correlation + matrix pencil,
+Hua & Sarkar 1990) and time delay (beamforming + phase-slope line fit).
 """
 
 __version__ = "0.1.0"
@@ -21,7 +21,7 @@ from .channel import (
     synthesize,
 )
 from .correlation import CorrelationSequence, estimate_correlation, select_band
-from .prony import ModeEstimate, PronyConfig, roots_of_polynomial, svd_prony
+from .prony import ModeEstimate, PronyConfig, svd_prony
 from .delay import DelayEstimate, beamform, fit_delay
 from .pipeline import (
     MonteCarloReport,
@@ -59,7 +59,6 @@ __all__ = [
     "PronyConfig",
     "ModeEstimate",
     "svd_prony",
-    "roots_of_polynomial",
     "DelayEstimate",
     "beamform",
     "fit_delay",

@@ -83,12 +83,9 @@ def _dump_correlation(corr, out_dir: Path) -> None:
 
 
 def _dump_roots(modes, out_dir: Path) -> None:
-    selected = set(np.round(modes.roots, 12).tolist())
-    rows = [
-        [z.real, z.imag, abs(z), int(np.round(z, 12) in selected)]
-        for z in modes.all_roots
-    ]
-    _write_csv(out_dir / "roots.csv", ["re", "im", "modulus", "selected"], rows)
+    roots = modes.roots  # the pencil's num_modes eigenvalues, in sin(angle) order
+    _write_csv(out_dir / "roots.csv", ["re", "im", "modulus"],
+               zip(roots.real, roots.imag, np.abs(roots)))
 
 
 def _dump_fit(delays, pulse_spec, out_dir: Path, snapshot: int = 0) -> None:

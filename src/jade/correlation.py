@@ -56,9 +56,10 @@ def select_band(g_spec: Spectrum, eta: float) -> range:
 
     Returns the contiguous run of bins q in 1..N//2 (natural DFT order),
     grown outward from the positive-frequency magnitude peak while
-    |g| >= eta * max|g|, as ``range(start, stop)``. Averaging the
-    correlation outside this band would only add terms with no signal
-    content.
+    |g| >= eta * max|g|, as ``range(start, stop)``. The negative half is
+    left out by choice, not for lack of signal: each of its bins carries
+    the same paths with the same steering vector, an independent look
+    that the correlation does not yet average.
     """
     if not 0.0 <= eta < 1.0:
         raise ValidationError(f"eta must be in [0, 1), got {eta}")

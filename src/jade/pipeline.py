@@ -188,6 +188,7 @@ CONFIG_KEYS = {
     "snapshots": _Key(_INT, 200, lambda c: c.num_snapshots, estimate=True),
     "noise_var": _Key(_FLOAT, 0.0, lambda c: c.noise_var),
     "band_threshold": _Key(_FLOAT, 0.1, lambda c: c.band_threshold, estimate=True),
+    # PronyConfig rejects true: the pencil's Hankel matrix has no separate backward form
     "forward_backward": _Key(_BOOL, False, lambda c: c.prony.forward_backward, estimate=True),
     "weighted_fit": _Key(_BOOL, False, lambda c: c.weighted_fit, estimate=True),
     "seed": _Key(_INT, 1, lambda c: c.seed, estimate=True),
@@ -203,7 +204,6 @@ CONFIG_KEYS = {
     "mean_db": _Key(_FLOAT, 0.0, lambda c: c.fading.mean_db, ("suzuki",)),
     "std_db": _Key(_FLOAT, 6.0, lambda c: c.fading.std_db, ("suzuki",)),
     "prediction_order": _Key(_INT, None, lambda c: c.prony.prediction_order, estimate=True),
-    "rank": _Key(_INT, None, lambda c: c.prony.rank, estimate=True),
 }
 
 
@@ -232,7 +232,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     if kind == "deterministic":
         params = {"beta": complex(params["beta_re"], params["beta_im"])}
     num_modes = len(v["delays"])
-    prony = PronyConfig(num_modes, v["prediction_order"], v["rank"], v["forward_backward"])
+    prony = PronyConfig(num_modes, v["prediction_order"], v["forward_backward"])
     return ScenarioConfig(
         pulse=PulseConfig(v["rolloff"], v["carrier_freq"], v["symbols"], v["oversample"],
                           v["bits"], v["bits_seed"]),
@@ -338,8 +338,8 @@ def _stage(name: str, fn, *args, **kwargs):
 def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfig) -> RunReport:
     """Estimate angles and delays from ``snaps`` for the known pulse ``pulse_wave``.
 
-    Stages: pulse spectrum, band selection, spatial correlation, SVD Prony
-    (angles), beamforming, phase slope fit (delays). ``cfg`` must be
+    Stages: pulse spectrum, band selection, spatial correlation, matrix
+    pencil (angles), beamforming, phase slope fit (delays). ``cfg`` must be
     resolved; only its estimation settings are read, and only those (the
     :data:`CONFIG_KEYS` marked ``estimate``, with the array and snapshot
     count of ``snaps``) are echoed. Any stage failure is reported with the

@@ -88,8 +88,8 @@ class TestSimulateEstimate:
         assert len(rows) == 2 * 16 - 1
 
         header, rows = read_csv(out_dir / "roots.csv")
-        assert header == ["re", "im", "modulus", "selected"]
-        assert sum(int(r[3]) for r in rows) == 2
+        assert header == ["re", "im", "modulus"]
+        assert len(rows) == 2  # one pencil eigenvalue per path
 
         for i in (1, 2):
             header, rows = read_csv(out_dir / f"fit_path{i}.csv")
@@ -297,7 +297,7 @@ class TestExitCodes:
         "setting",
         ["noise_var=nan", "noise_var=inf", "spacing=nan", "sigma=nan", "carrier_freq=nan",
          # values that are not numbers at all
-         "sensors=abc", "noise_var=x", "snapshots=1.5", "schema=abc", "rank=z"],
+         "sensors=abc", "noise_var=x", "snapshots=1.5", "schema=abc", "prediction_order=z"],
     )
     def test_non_finite_value_is_2(self, capsys, setting):
         assert main(["run", *SMALL, "--set", setting]) == 2
@@ -335,7 +335,7 @@ class TestExitCodes:
         assert captured.out == ""
         assert "bits_seed" in captured.err
 
-    @pytest.mark.parametrize("setting", ["prediction_order=12", "rank=9"])
+    @pytest.mark.parametrize("setting", ["prediction_order=12"])
     def test_prony_settings_too_large_for_the_array_are_2(self, tmp_path, capsys, setting):
         assert main(["run", "--snapshots", "5", "--set", "sensors=8", "--set", setting]) == 2
         captured = capsys.readouterr()
@@ -348,13 +348,23 @@ class TestExitCodes:
         assert main(["estimate", "--snapshots", "5", "--set", setting, "--data", str(data)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, message", [
+        ("forward_backward=true", "forward_backward must be false"),
+        ("rank=2", "unknown config keys: ['rank']"),  # the pencil truncates to the path count
+    ], ids=["forward_backward", "rank"])
+    def test_settings_the_pencil_has_no_use_for_are_2(self, capsys, setting, message):
+        assert main(["run", "--snapshots", "5", "--set", "sensors=8", "--set", setting]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("command", [["run"], ["montecarlo", "--trials", "2"]])
     def test_more_paths_than_the_default_order_holds_are_2(self, capsys, command):
         # two paths need a prediction order of 2, but 2 sensors give (2*2-1)//3 = 1
         assert main([*command, "--snapshots", "5", "--set", "sensors=2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: need num_modes <= rank <= prediction_order" in captured.err
+        assert "error: need num_modes <= prediction_order, got 2 <= 1" in captured.err
 
     @pytest.mark.parametrize("sensors, hint", [
         ("2", "the default prediction_order (2M-1)//3 is 1 at M=2 sensors; "

@@ -360,11 +360,11 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "prony,ok",
-        [(PronyConfig(2, prediction_order=7, rank=7), True),
+        [(PronyConfig(2, prediction_order=7), True),
          (PronyConfig(2, prediction_order=8), False),
          (PronyConfig(2, prediction_order=0), False),
-         (PronyConfig(2, rank=6), False),  # above the default order (2*8-1)//3 = 5
-         (PronyConfig(2, prediction_order=4, rank=5), False)],
+         (PronyConfig(2, prediction_order=1), False),  # below the path count
+         (PronyConfig(2, forward_backward=True), False)],
     )
     def test_prony_settings_must_fit_the_array(self, prony, ok):
         # 8 sensors give 2*8-1 lags, so the prediction order is at most 7

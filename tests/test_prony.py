@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from jade import (
+    ArrayConfig,
     CorrelationSequence,
     EstimationError,
+    FadingModel,
+    PathParam,
     PronyConfig,
     ValidationError,
-    roots_of_polynomial,
+    estimate_correlation,
+    select_band,
     svd_prony,
+    synthesize,
 )
 
 
@@ -29,34 +34,34 @@ def circular_separated_phases(rng, count, min_sep=0.1, margin=0.05):
             return phases
 
 
-class TestRootsOfPolynomial:
-    def test_quadratic(self):
-        roots = np.sort_complex(roots_of_polynomial([1.0, 0.0, -1.0]))
-        assert np.allclose(roots, [-1.0, 1.0], atol=1e-12)
+class TestValidityRule:
+    def test_damped_modes_flag_invalid(self):
+        # The two-sided sequence is conjugate-symmetric, so a damped mode z comes with
+        # its mirror 1/conj(z): here 0.9 e^{1.2j} and e^{1.2j}/0.9 beside e^{0.5j}.
+        lags = np.arange(32)
+        values = np.exp(0.5j * lags) + 0.5 * (0.9**lags + 0.9**-lags) * np.exp(1.2j * lags)
+        corr = CorrelationSequence(values=values, spacing=0.5)
+        with pytest.warns(UserWarning, match="unit circle"):
+            est = svd_prony(corr, PronyConfig(num_modes=3))
+        assert not est.valid
+        assert np.abs(np.sort(np.abs(est.roots)) - [0.9, 1.0, 1 / 0.9]).max() < 1e-10
 
-    def test_double_root(self):
-        roots = roots_of_polynomial([1.0, -2.0, 1.0])
-        assert len(roots) == 2
-        assert np.abs(roots - 1.0).max() < 1e-6
+    def test_too_few_modes_flag_invalid(self):
+        corr = sequence_from_modes([0.5, 1.2], [1.0, 1.0], num_lags=32)
+        with pytest.warns(UserWarning, match="unit circle"):
+            assert not svd_prony(corr, PronyConfig(num_modes=1)).valid
 
-    def test_recovers_construction_roots(self):
-        targets = np.exp(1j * np.array([0.3, 1.1]))
-        coeffs = np.poly(targets)  # oracle: expand from the known roots
-        roots = roots_of_polynomial(coeffs)
-        for t in targets:
-            assert np.abs(roots - t).min() < 1e-10
+    def test_exact_data_stays_valid(self, recwarn):
+        corr = sequence_from_modes([-0.7, 0.4, 1.3], [1.0, 0.8, 1.5], num_lags=24)
+        est = svd_prony(corr, PronyConfig(num_modes=3))
+        assert est.valid and not est.clamped
+        assert np.abs(np.abs(est.roots) - 1.0).max() < 1e-10
+        assert len(recwarn) == 0
 
-    def test_multiset_complete(self):
-        rng = np.random.default_rng(0)
-        coeffs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        roots = roots_of_polynomial(coeffs)
-        assert len(roots) == 7
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            roots_of_polynomial([1.0])
-        with pytest.raises(ValidationError):
-            roots_of_polynomial([0.0, 1.0, 2.0])
+    def test_all_zero_sequence_raises(self):
+        corr = CorrelationSequence(values=np.zeros(8), spacing=0.5)
+        with pytest.raises(EstimationError, match="prony"):
+            svd_prony(corr, PronyConfig(num_modes=1))
 
 
 class TestSvdProny:
@@ -89,16 +94,17 @@ class TestSvdProny:
 
     def test_exactness_random_modes(self):
         # up to 4 unit-modulus modes, positive amplitudes, separation >= 0.1:
-        # phase increments recovered to 1e-8
+        # phase increments recovered to 1e-8 at the default order T//3 and at (T-1)//2
         rng = np.random.default_rng(42)
         for _ in range(50):
             count = int(rng.integers(1, 5))
             phases = circular_separated_phases(rng, count)
             amps = rng.uniform(0.5, 2.0, count)
             corr = sequence_from_modes(phases, amps, num_lags=64)
-            est = svd_prony(corr, PronyConfig(num_modes=count))
-            got = np.sort(np.angle(est.roots))
-            assert np.abs(got - np.sort(phases)).max() < 1e-8
+            for order in ((2 * 64 - 1) // 3, (2 * 64 - 2) // 2):
+                est = svd_prony(corr, PronyConfig(num_modes=count, prediction_order=order))
+                got = np.sort(np.angle(est.roots))
+                assert np.abs(got - np.sort(phases)).max() < 1e-8
 
     def test_scale_invariance(self):
         corr = sequence_from_modes([0.3, 1.1], [2.0, 1.0], num_lags=32)
@@ -121,19 +127,21 @@ class TestSvdProny:
         sv = est.singular_values
         assert sv[2] / sv[1] < 1e-10
 
-    def test_forward_backward_agrees_on_exact_data(self):
-        corr = sequence_from_modes([-0.7, 0.4], [1.0, 0.8], num_lags=48)
-        fwd = svd_prony(corr, PronyConfig(num_modes=2))
-        fb = svd_prony(corr, PronyConfig(num_modes=2, forward_backward=True))
-        assert np.abs(fwd.sines - fb.sines).max() < 1e-9
+    def test_two_sided_sequence_is_conjugate_symmetric(self, keyed_pulse):
+        # so the backward Hankel matrix equals the forward one, bit for bit
+        _, wave, spec = keyed_pulse
+        paths = [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)]
+        snaps = synthesize(wave, paths, ArrayConfig(16, 0.5), FadingModel.rayleigh(),
+                           num_snapshots=10, noise_var=1.0, seed=3)
+        for corr in (estimate_correlation(snaps, select_band(spec, 0.1)),
+                     sequence_from_modes([-0.7, 0.4], [1.0, 0.8], num_lags=48)):
+            two_sided = corr.two_sided()
+            assert np.array_equal(np.conj(two_sided[::-1]), two_sided)
 
-    def test_no_sane_roots_raises(self):
-        # both prediction rows push the single root well inside the sanity
-        # window: |z| ~ 0.2
-        corr = CorrelationSequence(values=np.array([1.0, 0.1]), spacing=0.5)
-        cfg = PronyConfig(num_modes=1, prediction_order=1, rank=1)
-        with pytest.raises(EstimationError, match="modulus"):
-            svd_prony(corr, cfg)
+    def test_forward_backward_is_rejected(self):
+        corr = sequence_from_modes([-0.7, 0.4], [1.0, 0.8], num_lags=48)
+        with pytest.raises(ValidationError, match="forward_backward"):
+            svd_prony(corr, PronyConfig(num_modes=2, forward_backward=True))
 
     def test_aliasing_overshoot_warns_and_flags(self):
         # spacing 0.4 maps a 3.0 rad increment to |sin| = 1.19 > 1
@@ -150,15 +158,14 @@ class TestSvdProny:
         with pytest.raises(ValidationError):
             svd_prony(corr, PronyConfig(num_modes=0))
         with pytest.raises(ValidationError):
-            svd_prony(corr, PronyConfig(num_modes=2, prediction_order=1, rank=1))
+            svd_prony(corr, PronyConfig(num_modes=2, prediction_order=1))
         with pytest.raises(ValidationError):
-            svd_prony(corr, PronyConfig(num_modes=1, prediction_order=12, rank=1))
+            svd_prony(corr, PronyConfig(num_modes=1, prediction_order=12))
 
     def test_default_prediction_order(self):
         corr = sequence_from_modes([0.5], [1.0], num_lags=64)
         cfg = PronyConfig(num_modes=1).resolved(64)
         assert cfg.prediction_order == (2 * 64 - 1) // 3
-        assert cfg.rank == 1
 
     @pytest.mark.parametrize("paths", range(1, 7))
     def test_default_order_error_names_the_fewest_sensors(self, paths):
@@ -179,4 +186,4 @@ class TestSvdProny:
     def test_explicit_order_error_has_no_hint(self):
         with pytest.raises(ValidationError) as info:
             PronyConfig(num_modes=2, prediction_order=1).resolved(64)
-        assert str(info.value) == "need num_modes <= rank <= prediction_order, got 2 <= 2 <= 1"
+        assert str(info.value) == "need num_modes <= prediction_order, got 2 <= 1"

@@ -34,8 +34,8 @@ def scenario_keys(draw):
     oversample = draw(st.integers(1, 8))
     half = symbols * oversample / 2
     sensors = draw(st.integers(2, 256))
-    # the Prony settings, explicit or default, fit the 2M-1 lags: paths <= rank <=
-    # order <= M-1, and an absent order defaults to (2M-1)//3
+    # the Prony settings, explicit or default, fit the 2M-1 lags: paths <= order <= M-1,
+    # and an absent order defaults to (2M-1)//3
     order = draw(optional(st.integers(1, sensors - 1)))
     top = (2 * sensors - 1) // 3 if order is None else order
     paths = draw(st.lists(
@@ -43,7 +43,6 @@ def scenario_keys(draw):
                   finite(-half, half, exclude_min=True, exclude_max=True)),
         min_size=1, max_size=min(6, top)))
     kind = draw(st.sampled_from(sorted(FADING_PARAMS)))
-    rank = draw(optional(st.integers(len(paths), top)))
     raw = {
         "rolloff": draw(finite(0.0, 1.0, exclude_min=True)),
         "carrier_freq": draw(finite(0.0, 10.0)),
@@ -64,9 +63,8 @@ def scenario_keys(draw):
                          st.fixed_dictionaries({"bits": st.text("01", min_size=symbols,
                                                                 max_size=symbols)}),
                          st.fixed_dictionaries({"bits_seed": st.integers(0, 2**32)}))),
-        "forward_backward": draw(optional(st.booleans())),
+        "forward_backward": draw(optional(st.just(False))),  # true is rejected
         "prediction_order": order,
-        "rank": rank,
         **{key: draw(optional(value)) for key, value in FADING_PARAMS[kind].items()},
     }
     return {key: value for key, value in raw.items() if value is not None}
