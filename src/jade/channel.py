@@ -253,15 +253,18 @@ def synthesize(
     Delays enter as exp(-j*omega*delay), so they may be fractional or
     negative, matching the estimator's convention. Noise, when requested,
     is circular complex white Gaussian with variance ``noise_var`` per time
-    sample. Fading is drawn from the stream ``default_rng([seed, 0])`` and
-    noise from ``default_rng([seed, 1])``, each in snapshot order with a
-    fixed count per snapshot, so a shorter run is a prefix of a longer one
-    with the same seed, and ``betas`` do not depend on ``noise_var``, M or N.
+    sample. Fading is drawn from the stream ``default_rng([seed, 0])``,
+    the noise of bins 0..N/2 from ``default_rng([seed, 1])`` and that of
+    bins N/2+1..N-1 from ``default_rng([seed, 2])``, each in snapshot order
+    with a fixed count per snapshot. So a shorter run is a prefix of a
+    longer one with the same seed, and ``betas`` do not depend on
+    ``noise_var``, M or N.
 
     ``num_bins`` keeps only DFT bins 0..num_bins-1 (default all N). Noise is
-    still drawn for all N bins, so from two bins up they equal the full
-    set's first bins bit for bit. Such a set is for in-memory estimation
-    only (``run_pipeline``); never pass it to :func:`save_dataset`.
+    drawn for every bin of each half the set reaches, so the kept bins equal
+    the full set's first bins bit for bit, and a set within bins 0..N/2
+    draws half the normals of a full one. Such a set is for in-memory
+    estimation only (``run_pipeline``); never pass it to :func:`save_dataset`.
     """
     arr.validate()
     fading.validate()
@@ -281,8 +284,8 @@ def synthesize(
         raise ValidationError(f"num_bins must be in 1..{n}, got {num_bins}")
 
     m = arr.num_sensors
-    # (kept, L) delayed pulse spectra and (L, M) steering rows are fixed across snapshots.
-    delayed = np.column_stack([delayed_pulse_spectrum(pulse.values, p.delay) for p in paths])[:kept]
+    # (N, L) delayed pulse spectra and (L, M) steering rows are fixed across snapshots.
+    delayed = np.column_stack([delayed_pulse_spectrum(pulse.values, p.delay) for p in paths])
     steering = np.array([steering_vector(arr, p.angle_deg) for p in paths])
 
     betas = fading.draw(np.random.default_rng([seed, 0]), (num_snapshots, len(paths)))
@@ -290,20 +293,27 @@ def synthesize(
     if noise_var == 0:
         # one GEMM: (kept, L) delayed spectra by (L, S*M) coefficients
         coef_t = coef.transpose(1, 0, 2).reshape(len(paths), -1)
-        bins = (delayed @ coef_t).reshape(kept, num_snapshots, m)
+        bins = (delayed[:kept] @ coef_t).reshape(kept, num_snapshots, m)
     else:
-        # The DFT of white CN(0, noise_var) samples is white CN(0, N * noise_var) per bin;
-        # all N are drawn in snapshot order into one reused block, the kept ones stored transposed.
+        # The DFT of white CN(0, noise_var) samples is white CN(0, N * noise_var) per bin.
+        # Each half's stream fills all its bins in snapshot order into one reused block,
+        # whose kept bins are stored transposed; a set within 0..N/2 never reads stream 2.
         bins = np.empty((kept, num_snapshots, m), dtype=complex)
-        noise_rng = np.random.default_rng([seed, 1])
-        step = max(1, NOISE_ROWS // n)
-        chunk = np.empty((min(step, num_snapshots), n, m), dtype=complex)
-        for start in range(0, num_snapshots, step):
-            noise_rng.standard_normal(out=chunk[: num_snapshots - start].view(float))
-            block = chunk[: num_snapshots - start, :kept]
-            block *= np.sqrt(n * noise_var / 2.0)
-            block += delayed @ coef[start:start + len(block)]
-            bins[:, start:start + len(block)] = block.transpose(1, 0, 2)
+        half = n // 2 + 1
+        for key, first, stop in ((1, 0, half), (2, half, n)):
+            last = min(kept, stop)
+            if last <= first:
+                break
+            noise_rng = np.random.default_rng([seed, key])
+            step = max(1, NOISE_ROWS // (stop - first))
+            chunk = np.empty((min(step, num_snapshots), stop - first, m), dtype=complex)
+            for start in range(0, num_snapshots, step):
+                block = chunk[: num_snapshots - start]
+                noise_rng.standard_normal(out=block.view(float))
+                block *= np.sqrt(n * noise_var / 2.0)
+                # all of the half's rows, so that every kept set rounds as the full set does
+                block += delayed[first:stop] @ coef[start:start + len(block)]
+                bins[first:last, start:start + len(block)] = block[:, :last - first].transpose(1, 0, 2)
 
     return SnapshotSet(bins=bins, array=arr, betas=betas)
 

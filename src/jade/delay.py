@@ -29,6 +29,17 @@ __all__ = ["DelayEstimate", "beamform", "fit_delay"]
 RSQ_RELIABLE = 0.5
 
 
+def median0(x: np.ndarray) -> np.ndarray:
+    """``np.median(x, axis=0)`` bit for bit, NaN included, without importing ``numpy.ma``.
+
+    ``np.median``'s NaN check imports ``numpy.ma``, which stays resident.
+    """
+    n = len(x)
+    part = np.partition(x, [(n - 1) // 2, n // 2, -1], axis=0)
+    mid = np.mean(part[(n - 1) // 2:n // 2 + 1], axis=0)
+    return np.where(np.isnan(part[-1]), part[-1], mid)
+
+
 @dataclass
 class DelayEstimate:
     """Per-snapshot phase-slope delay fits and their aggregates.
@@ -118,7 +129,7 @@ def fit_delay(
     rsq = np.clip(rsq, 0.0, 1.0)
 
     return DelayEstimate(
-        delay_median=np.median(-slope, axis=0),
+        delay_median=median0(-slope),
         delay_mean=np.mean(-slope, axis=0),
         slope=slope,
         intercept=intercept,

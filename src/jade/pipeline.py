@@ -23,7 +23,7 @@ from .pulse import PulseConfig, SampledWaveform, Spectrum, generate_pulse, spect
 from .channel import ArrayConfig, FadingModel, PathParam, SnapshotSet, synthesize
 from .correlation import CorrelationSequence, estimate_correlation, select_band
 from .prony import ModeEstimate, PronyConfig, svd_prony
-from .delay import DelayEstimate, beamform, fit_delay
+from .delay import DelayEstimate, beamform, fit_delay, median0
 
 __all__ = [
     "ScenarioConfig",
@@ -367,11 +367,11 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
         band_start=band[0],
         band_stop=band[-1],
         slope_per_snapshot=delays.slope,
-        slope_median=np.median(delays.slope, axis=0).tolist(),
+        slope_median=median0(delays.slope).tolist(),
         slope_mean=np.mean(delays.slope, axis=0).tolist(),
         delay_median=delays.delay_median.tolist(),
         delay_mean=delays.delay_mean.tolist(),
-        rsq_median=np.median(delays.rsq, axis=0).tolist(),
+        rsq_median=median0(delays.rsq).tolist(),
         unreliable_fits=int(np.sum(~delays.reliable)),
         timing_s=time.perf_counter() - started,
         artifacts=PipelineArtifacts(pulse_spec, corr, modes, delays),
@@ -390,8 +390,13 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
     """
     cfg = cfg.resolved()
     started = time.perf_counter()
-
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
+    return _run(cfg, pulse_wave, started, keep_artifacts)
+
+
+def _run(cfg: ScenarioConfig, pulse_wave: SampledWaveform, started: float,
+         keep_artifacts: bool = False) -> RunReport:
+    """:func:`run_pipeline` after the pulse: ``cfg`` is resolved and transmits ``pulse_wave``."""
     snaps = _stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array, cfg.fading,
                    cfg.num_snapshots, cfg.noise_var, cfg.seed, num_bins=len(pulse_wave) // 2 + 1)
     report = estimate(snaps, pulse_wave, cfg)
@@ -449,12 +454,11 @@ class MonteCarloReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _run_trial(cfg: ScenarioConfig, trial: int) -> dict:
+def _run_trial(cfg: ScenarioConfig, pulse_wave: SampledWaveform, trial: int) -> dict:
     seed = trial_seed(cfg.seed, trial)
-    trial_cfg = replace(cfg, seed=seed)
     entry = {"trial": trial, "seed": seed}
     try:
-        report = run_pipeline(trial_cfg)
+        report = _run(replace(cfg, seed=seed), pulse_wave, time.perf_counter())
     except (EstimationError, ValidationError) as exc:
         entry.update({"ok": False, "error": str(exc)})
         return entry
@@ -477,15 +481,18 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
     """Run ``trials`` independent seeded pipelines and aggregate statistics.
 
     Trials run in order with seeds derived from (config seed, trial
-    index). The pulse bit sequence is resolved once from
-    the base config, so every trial observes the same known pulse and only
-    the fading/noise realizations differ. Failed trials are reported with
-    their error and excluded from the bias/RMSE aggregates.
+    index). The config is resolved and validated, and the pulse generated,
+    once from the base config, so every trial observes the same known pulse
+    and only the fading/noise realizations differ. A trial equals
+    :func:`run_pipeline` on the resolved base config with the trial's seed.
+    Failed trials are reported with their error and excluded from the
+    bias/RMSE aggregates.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     cfg = cfg.resolved()
-    results = [_run_trial(cfg, t) for t in range(trials)]
+    pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
+    results = [_run_trial(cfg, pulse_wave, t) for t in range(trials)]
 
     ok = [r for r in results if r["ok"]]
     angle_bias = angle_rmse = delay_bias = delay_rmse = None

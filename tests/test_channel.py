@@ -137,7 +137,8 @@ class TestSynthesize:
         # Reference: the signal built in time from the documented fading
         # stream default_rng([seed, 0]) (Rician: four normals per coefficient),
         # transformed, plus sqrt(N * noise_var / 2) * (z0 + j z1) per
-        # (snapshot, bin, sensor) from the noise stream default_rng([seed, 1]).
+        # (snapshot, bin, sensor) from the noise streams default_rng([seed, 1])
+        # for bins 0..N/2 and default_rng([seed, 2]) for bins N/2+1..N-1.
         paths = [PathParam(-10.0, 3.0), PathParam(25.0, -4.5)]
         arr = ArrayConfig(6, 0.5)
         nu, sigma = 1.0, 0.5
@@ -151,7 +152,10 @@ class TestSynthesize:
         u = z[..., 2] + 1j * z[..., 3]
         betas = (nu + sigma * (z[..., 0] + 1j * z[..., 1])) * (u / np.abs(u))
         data = (steering * betas[:, None, :]) @ delayed
-        z = np.random.default_rng([seed, 1]).standard_normal((count, n, m, 2))
+        z = np.concatenate([
+            np.random.default_rng([seed, 1]).standard_normal((count, n // 2 + 1, m, 2)),
+            np.random.default_rng([seed, 2]).standard_normal((count, n // 2 - 1, m, 2)),
+        ], axis=1)
         noise = np.sqrt(n * noise_var / 2.0) * (z[..., 0] + 1j * z[..., 1])
         ref = np.fft.fft(data, axis=-1) + noise.transpose(0, 2, 1)
 
@@ -211,8 +215,8 @@ class TestSynthesize:
         assert peak < 1.25 * snaps.bins.nbytes
 
     def test_stream_pinned(self, pulse_wave):
-        # first two betas of seed 1 for each kind, and the first noise bin;
-        # a change here is a change of the random stream
+        # first two betas of seed 1 for each kind, and the first noise bin of
+        # each half; a change here is a change of the random stream
         pinned = {
             "rayleigh": [0.345584192064786 + 0.8216181435011584j,
                          0.33043707618338714 - 1.303157231604361j],
@@ -229,6 +233,26 @@ class TestSynthesize:
         assert len(pulse_wave) == 128
         np.testing.assert_allclose(snaps.bins[0, 0, 0], 4.266831027079575 + 9.937965423732352j,
                                    rtol=1e-12, atol=0)
+        np.testing.assert_allclose(snaps.bins[65, 0, 0], -9.606450042633606 + 6.6023284349288565j,
+                                   rtol=1e-12, atol=0)
+
+    def test_half_set_never_builds_the_upper_stream(self, pulse_wave, monkeypatch):
+        keys = []
+        real_default_rng = np.random.default_rng
+
+        def recording(seed=None):
+            keys.append(seed)
+            return real_default_rng(seed)
+
+        monkeypatch.setattr("jade.channel.np.random.default_rng", recording)
+        n, seed = len(pulse_wave), 5
+        kw = dict(pulse=pulse_wave, paths=TWO_PATHS, arr=ArrayConfig(4, 0.5),
+                  fading=FadingModel.rayleigh(1.0), num_snapshots=3, noise_var=0.5, seed=seed)
+        synthesize(**kw, num_bins=n // 2 + 1)
+        assert [seed, 1] in keys and [seed, 2] not in keys
+        keys.clear()
+        synthesize(**kw, num_bins=n // 2 + 2)
+        assert [seed, 2] in keys
 
     def test_holds_one_snapshot_array_after_save(self, pulse_wave, tmp_path):
         snaps = synthesize(

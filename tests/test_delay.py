@@ -11,6 +11,7 @@ from jade import (
     select_band,
     synthesize,
 )
+from jade.delay import median0
 
 from conftest import spectra
 
@@ -196,6 +197,14 @@ class TestFitDelay:
         assert est.delay_median[0] == np.median(-est.slope[:, 0])
         assert est.delay_mean[0] == pytest.approx(np.mean(-est.slope[:, 0]))
         assert est.delay_median[0] == pytest.approx(7.0, abs=0.05)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 50, 51])
+    def test_median0_is_np_median_bit_for_bit(self, rows):
+        x = np.random.default_rng(rows).standard_normal((rows, 3))
+        assert np.array_equal(median0(x), np.median(x, axis=0))
+        x[rows // 2, 1] = np.nan
+        assert np.array_equal(median0(x), np.median(x, axis=0), equal_nan=True)
+        assert np.isnan(median0(x)[1])
 
     def test_validation(self, keyed_pulse):
         spec, band = self.band_and_spec(keyed_pulse)

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -115,6 +118,16 @@ class TestRunPipeline:
             tracemalloc.stop()
         assert report.artifacts is None
         assert held < 10_000
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.median imports numpy.ma, which then stays resident (about 1.2 MB)
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; from dataclasses import replace; import jade; "
+                "cfg = jade.default_scenario(); jade.run_pipeline(cfg); "
+                "jade.run_pipeline(replace(cfg, noise_var=1.0)); "
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
 
     @pytest.mark.parametrize(
         "paths",
@@ -233,9 +246,20 @@ class TestMonteCarlo:
         run_pipeline(cfg)
         assert calls["n"] == 1
         calls["n"] = 0
-        # once for the base config, once per trial and once for the echo
+        # once for the base config and once for the echo, not per trial
         monte_carlo(cfg, trials=10)
-        assert calls["n"] == 12
+        assert calls["n"] == 2
+
+    def test_pulse_is_generated_once_per_run(self, monkeypatch):
+        calls = {"n": 0}
+
+        def counting(pulse_cfg):
+            calls["n"] += 1
+            return generate_pulse(pulse_cfg)
+
+        monkeypatch.setattr("jade.pipeline.generate_pulse", counting)
+        monte_carlo(small_scenario(num_snapshots=5), trials=10)
+        assert calls["n"] == 1
 
     def test_rejects_bad_trial_count(self):
         with pytest.raises(ValidationError):
