@@ -370,6 +370,19 @@ class TestNumBins:
             one = synthesize(**kw, num_bins=1).bins
             assert np.abs(one - full.bins[:1]).max() <= 1e-14 * np.abs(full.bins[:1]).max()
 
+    @pytest.mark.parametrize("n", [128, 50])
+    @pytest.mark.parametrize("kind", ALL_FADING)
+    def test_noisy_kept_bins_are_bit_exact(self, n, kind):
+        # a noisy single bin, and a set that ends inside the upper half's block
+        wave = generate_pulse(zero_bit_cfg(**self.PULSES[n]))
+        for m in (4, 16, 33):
+            kw = dict(pulse=wave, paths=TWO_PATHS, arr=ArrayConfig(m, 0.5),
+                      fading=ALL_FADING[kind], num_snapshots=25, noise_var=0.7, seed=m)
+            full = synthesize(**kw)
+            for num_bins in (1, n // 2 + 2):
+                kept = synthesize(**kw, num_bins=num_bins)
+                assert np.array_equal(kept.bins, full.bins[:num_bins]), (m, num_bins)
+
     def test_num_bins_outside_the_spectrum_is_rejected(self, pulse_wave):
         n = len(pulse_wave)
         for num_bins in (0, -1, n + 1):
