@@ -195,14 +195,15 @@ class SnapshotSet:
     vectors of a run of bins are one block. It is the only in-memory form:
     the time series exists only in a dataset file, written and read one
     snapshot at a time. ``betas`` holds the drawn (snapshot, path) fading
-    coefficients of a synthesized set; loaded sets have ``None``. A set made
-    with ``synthesize``'s ``num_bins`` holds (and ``num_samples`` counts) only
-    those bins; it lives inside ``run_pipeline`` and is never saved.
+    coefficients of a synthesized set; loaded sets have ``None``. ``half``
+    marks a set of bins 0..N/2 only (``synthesize(half=True)``), whose
+    ``num_samples`` counts those bins; it cannot be saved.
     """
 
     bins: np.ndarray
     array: ArrayConfig
     betas: Optional[np.ndarray] = None
+    half: bool = False
 
     @property
     def num_snapshots(self) -> int:
@@ -244,7 +245,7 @@ def synthesize(
     noise_var: float = 0.0,
     seed: int = 0,
     *,
-    num_bins: Optional[int] = None,
+    half: bool = False,
 ) -> SnapshotSet:
     """Generate array snapshots for the given paths, fading and noise.
 
@@ -260,11 +261,8 @@ def synthesize(
     longer one with the same seed, and ``betas`` do not depend on
     ``noise_var``, M or N.
 
-    ``num_bins`` keeps only DFT bins 0..num_bins-1 (default all N). Noise is
-    drawn for every bin of each half the set reaches, so the kept bins equal
-    the full set's first bins bit for bit, and a set within bins 0..N/2
-    draws half the normals of a full one. Such a set is for in-memory
-    estimation only (``run_pipeline``); never pass it to :func:`save_dataset`.
+    ``half`` keeps only bins 0..N/2, which equal the full set's bit for bit;
+    it never draws from stream 2, so it draws half the normals.
     """
     arr.validate()
     fading.validate()
@@ -279,9 +277,8 @@ def synthesize(
     n = len(pulse)
     for p in paths:
         p.validate(num_samples=n)
-    kept = n if num_bins is None else num_bins
-    if not 1 <= kept <= n:
-        raise ValidationError(f"num_bins must be in 1..{n}, got {num_bins}")
+    upper = n // 2 + 1  # stream 2's first bin
+    kept = upper if half else n
 
     m = arr.num_sensors
     # (N, L) delayed pulse spectra and (L, M) steering rows are fixed across snapshots.
@@ -296,14 +293,11 @@ def synthesize(
         bins = (delayed[:kept] @ coef_t).reshape(kept, num_snapshots, m)
     else:
         # The DFT of white CN(0, noise_var) samples is white CN(0, N * noise_var) per bin.
-        # Each half's stream fills all its bins in snapshot order into one reused block,
-        # whose kept bins are stored transposed; a set within 0..N/2 never reads stream 2.
+        # Each stream fills its bins in snapshot order into one reused block, stored
+        # transposed; stream 2 is never built when no bin of it is kept.
         bins = np.empty((kept, num_snapshots, m), dtype=complex)
-        half = n // 2 + 1
-        for key, first, stop in ((1, 0, half), (2, half, n)):
-            last = min(kept, stop)
-            if last <= first:
-                break
+        streams = ((1, 0, upper), (2, upper, kept)) if kept > upper else ((1, 0, upper),)
+        for key, first, stop in streams:
             noise_rng = np.random.default_rng([seed, key])
             step = max(1, NOISE_ROWS // (stop - first))
             chunk = np.empty((min(step, num_snapshots), stop - first, m), dtype=complex)
@@ -311,11 +305,10 @@ def synthesize(
                 block = chunk[: num_snapshots - start]
                 noise_rng.standard_normal(out=block.view(float))
                 block *= np.sqrt(n * noise_var / 2.0)
-                # all of the half's rows, so that every kept set rounds as the full set does
                 block += delayed[first:stop] @ coef[start:start + len(block)]
-                bins[first:last, start:start + len(block)] = block[:, :last - first].transpose(1, 0, 2)
+                bins[first:stop, start:start + len(block)] = block.transpose(1, 0, 2)
 
-    return SnapshotSet(bins=bins, array=arr, betas=betas)
+    return SnapshotSet(bins=bins, array=arr, betas=betas, half=half)
 
 
 def save_dataset(snaps: SnapshotSet, path) -> None:
@@ -323,8 +316,10 @@ def save_dataset(snaps: SnapshotSet, path) -> None:
 
     Format: ``JADE1 M=<sensors> N=<samples> S=<snapshots> delta=<spacing>``
     followed by S*M lines (snapshot-major), each holding N comma-separated
-    ``re:im`` complex samples.
+    ``re:im`` complex samples. A half set has no time series to write.
     """
+    if snaps.half:
+        raise ValidationError("a half set (bins 0..N/2 only) cannot be saved as a dataset")
     n, s_count, m = snaps.bins.shape
     with open(path, "w") as fh:
         fh.write(

@@ -188,8 +188,6 @@ CONFIG_KEYS = {
     "snapshots": _Key(_INT, 200, lambda c: c.num_snapshots, estimate=True),
     "noise_var": _Key(_FLOAT, 0.0, lambda c: c.noise_var),
     "band_threshold": _Key(_FLOAT, 0.1, lambda c: c.band_threshold, estimate=True),
-    # PronyConfig rejects true: the pencil's Hankel matrix has no separate backward form
-    "forward_backward": _Key(_BOOL, False, lambda c: c.prony.forward_backward, estimate=True),
     "weighted_fit": _Key(_BOOL, False, lambda c: c.weighted_fit, estimate=True),
     "seed": _Key(_INT, 1, lambda c: c.seed, estimate=True),
     "bits": _Key(_BITS, None, lambda c: None if c.pulse.bits is None
@@ -232,7 +230,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     if kind == "deterministic":
         params = {"beta": complex(params["beta_re"], params["beta_im"])}
     num_modes = len(v["delays"])
-    prony = PronyConfig(num_modes, v["prediction_order"], v["forward_backward"])
+    prony = PronyConfig(num_modes, v["prediction_order"])
     return ScenarioConfig(
         pulse=PulseConfig(v["rolloff"], v["carrier_freq"], v["symbols"], v["oversample"],
                           v["bits"], v["bits_seed"]),
@@ -322,8 +320,8 @@ class RunReport:
             out["timing_s"] = self.timing_s
         return out
 
-    def to_json(self, include_timing: bool = False, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing), indent=indent)
+    def to_json(self, include_timing: bool = False) -> str:
+        return json.dumps(self.to_dict(include_timing=include_timing), indent=2)
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -367,8 +365,9 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
         band_start=band[0],
         band_stop=band[-1],
         slope_per_snapshot=delays.slope,
-        slope_median=median0(delays.slope).tolist(),
-        slope_mean=np.mean(delays.slope, axis=0).tolist(),
+        # negation is exact, so these equal the median and mean of the slopes bit for bit
+        slope_median=(-delays.delay_median).tolist(),
+        slope_mean=(-delays.delay_mean).tolist(),
         delay_median=delays.delay_median.tolist(),
         delay_mean=delays.delay_mean.tolist(),
         rsq_median=median0(delays.rsq).tolist(),
@@ -384,9 +383,8 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
     Stages: pulse generation, snapshot synthesis, then the estimation
     chain of :func:`estimate`, whose report gains the truth and error
     fields. Any stage failure is reported with the stage name.
-    Deterministic for a fixed (config, seed).
-    Only bins 0..N/2, which hold every band :func:`select_band` picks, are
-    synthesized; that half set never reaches the artifacts or a dataset.
+    Deterministic for a fixed (config, seed). Only bins 0..N/2, which hold
+    every band :func:`select_band` picks, are synthesized.
     """
     cfg = cfg.resolved()
     started = time.perf_counter()
@@ -398,7 +396,7 @@ def _run(cfg: ScenarioConfig, pulse_wave: SampledWaveform, started: float,
          keep_artifacts: bool = False) -> RunReport:
     """:func:`run_pipeline` after the pulse: ``cfg`` is resolved and transmits ``pulse_wave``."""
     snaps = _stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array, cfg.fading,
-                   cfg.num_snapshots, cfg.noise_var, cfg.seed, num_bins=len(pulse_wave) // 2 + 1)
+                   cfg.num_snapshots, cfg.noise_var, cfg.seed, half=True)
     report = estimate(snaps, pulse_wave, cfg)
 
     # Truth is matched to estimates in sin(angle) order; both sides sorted.
@@ -450,8 +448,8 @@ class MonteCarloReport:
             "trials": self.trials,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _run_trial(cfg: ScenarioConfig, pulse_wave: SampledWaveform, trial: int) -> dict:

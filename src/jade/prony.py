@@ -41,14 +41,16 @@ class PronyConfig:
 
     ``num_modes`` is the number of paths (assumed known). The pencil order
     p defaults to one third of the two-sided sequence length; the Hankel
-    matrix has p + 1 columns. ``forward_backward`` must be False: the
-    two-sided sequence is conjugate-symmetric, so its backward Hankel
-    matrix equals the forward one.
+    matrix has p + 1 columns. The two-sided sequence is
+    conjugate-symmetric, so its backward Hankel matrix equals the forward
+    one and there is no forward-backward variant.
     """
 
     num_modes: int
     prediction_order: Optional[int] = None
-    forward_backward: bool = False
+    # Not a field: perfbench's replay still reads it to size the SVD; delete it
+    # once the replay sizes the SVD from the matrix shape (ROADMAP item 1).
+    forward_backward = False
 
     def resolved(self, num_lags: int) -> "PronyConfig":
         """Fill defaults for a sequence with ``num_lags`` one-sided lags, and check they fit it."""
@@ -56,11 +58,6 @@ class PronyConfig:
         order = total // 3 if self.prediction_order is None else self.prediction_order
         if self.num_modes < 1:
             raise ValidationError(f"num_modes must be >= 1, got {self.num_modes}")
-        if self.forward_backward:
-            raise ValidationError(
-                "forward_backward must be false: the correlation's backward Hankel matrix "
-                "equals its forward one"
-            )
         if self.num_modes > order:
             hint = ""
             if self.prediction_order is None:

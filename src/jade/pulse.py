@@ -187,13 +187,10 @@ def unwrap_phase(phi: Union[Sequence[float], np.ndarray], axis: int = -1) -> np.
     phi = np.asarray(phi, dtype=float)
     if not np.isfinite(phi).all():
         raise ValidationError("phase sequence contains non-finite values")
-    if phi.shape[axis] <= 1:
-        return phi.copy()
-    diffs = np.diff(phi, axis=axis)
     # k is the per-step wrap count that maps each difference into (-pi, pi].
-    k = np.ceil((diffs - np.pi) / (2.0 * np.pi))
-    offsets = np.cumsum(k, axis=axis)
-    pad_shape = list(phi.shape)
-    pad_shape[axis] = 1
-    offsets = np.concatenate([np.zeros(pad_shape), offsets], axis=axis)
-    return phi - 2.0 * np.pi * offsets
+    k = np.ceil((np.diff(phi, axis=axis) - np.pi) / (2.0 * np.pi))
+    out = phi.copy()
+    rest = [slice(None)] * phi.ndim
+    rest[axis] = slice(1, None)
+    out[tuple(rest)] -= 2.0 * np.pi * np.cumsum(k, axis=axis)
+    return out

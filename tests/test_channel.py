@@ -9,6 +9,7 @@ from jade import (
     FadingModel,
     PathParam,
     ValidationError,
+    default_scenario,
     generate_pulse,
     load_dataset,
     save_dataset,
@@ -248,11 +249,18 @@ class TestSynthesize:
         n, seed = len(pulse_wave), 5
         kw = dict(pulse=pulse_wave, paths=TWO_PATHS, arr=ArrayConfig(4, 0.5),
                   fading=FadingModel.rayleigh(1.0), num_snapshots=3, noise_var=0.5, seed=seed)
-        synthesize(**kw, num_bins=n // 2 + 1)
+        synthesize(**kw, half=True)
         assert [seed, 1] in keys and [seed, 2] not in keys
         keys.clear()
-        synthesize(**kw, num_bins=n // 2 + 2)
+        synthesize(**kw)
         assert [seed, 2] in keys
+
+    def test_two_sample_pulse_has_no_upper_stream(self):
+        # at N = 2 bins 0..N/2 are every bin, so the full set is the half set
+        wave = generate_pulse(zero_bit_cfg(symbol_count=2, oversample=1))
+        kw = dict(pulse=wave, paths=[PathParam(0.0, 0.5)], arr=ArrayConfig(4, 0.5),
+                  fading=FadingModel.rayleigh(1.0), num_snapshots=3, noise_var=0.5, seed=2)
+        assert np.array_equal(synthesize(**kw).bins, synthesize(**kw, half=True).bins)
 
     def test_holds_one_snapshot_array_after_save(self, pulse_wave, tmp_path):
         snaps = synthesize(
@@ -264,7 +272,7 @@ class TestSynthesize:
         def held():
             return {k: v.size for k, v in vars(snaps).items() if isinstance(v, np.ndarray)}
 
-        assert [f.name for f in fields(snaps)] == ["bins", "array", "betas"]
+        assert [f.name for f in fields(snaps)] == ["bins", "array", "betas", "half"]
         assert held() == {"bins": cube, "betas": snaps.betas.size}
         save_dataset(snaps, tmp_path / "data.txt")
         assert held() == {"bins": cube, "betas": snaps.betas.size}
@@ -360,35 +368,25 @@ class TestNumBins:
             kw = dict(pulse=wave, paths=TWO_PATHS, arr=ArrayConfig(m, 0.5),
                       fading=ALL_FADING[kind], num_snapshots=25, noise_var=noise_var, seed=m)
             full = synthesize(**kw)
-            for num_bins in (2, n // 2 + 1, n):
-                kept = synthesize(**kw, num_bins=num_bins)
-                assert kept.bins.shape == (num_bins, 25, m)
-                assert kept.bins.flags.c_contiguous
-                assert np.array_equal(kept.bins, full.bins[:num_bins]), (m, num_bins)
-                assert np.array_equal(kept.betas, full.betas)
-            # one kept row is a matrix-vector product, which may round differently
-            one = synthesize(**kw, num_bins=1).bins
-            assert np.abs(one - full.bins[:1]).max() <= 1e-14 * np.abs(full.bins[:1]).max()
+            kept = synthesize(**kw, half=True)
+            assert kept.bins.shape == (n // 2 + 1, 25, m)
+            assert kept.bins.flags.c_contiguous
+            assert np.array_equal(kept.bins, full.bins[:n // 2 + 1]), m
+            assert np.array_equal(kept.betas, full.betas)
+            assert kept.half and not full.half
 
     @pytest.mark.parametrize("n", [128, 50])
     @pytest.mark.parametrize("kind", ALL_FADING)
     def test_noisy_kept_bins_are_bit_exact(self, n, kind):
-        # a noisy single bin, and a set that ends inside the upper half's block
+        # one snapshot, and counts that end on and one past a noise block
         wave = generate_pulse(zero_bit_cfg(**self.PULSES[n]))
-        for m in (4, 16, 33):
+        step = NOISE_ROWS // (n // 2 + 1)
+        for m, snapshots in ((4, 1), (16, step), (33, step + 1)):
             kw = dict(pulse=wave, paths=TWO_PATHS, arr=ArrayConfig(m, 0.5),
-                      fading=ALL_FADING[kind], num_snapshots=25, noise_var=0.7, seed=m)
+                      fading=ALL_FADING[kind], num_snapshots=snapshots, noise_var=0.7, seed=m)
             full = synthesize(**kw)
-            for num_bins in (1, n // 2 + 2):
-                kept = synthesize(**kw, num_bins=num_bins)
-                assert np.array_equal(kept.bins, full.bins[:num_bins]), (m, num_bins)
-
-    def test_num_bins_outside_the_spectrum_is_rejected(self, pulse_wave):
-        n = len(pulse_wave)
-        for num_bins in (0, -1, n + 1):
-            with pytest.raises(ValidationError, match="num_bins"):
-                synthesize(pulse_wave, TWO_PATHS, ArrayConfig(4, 0.5), FadingModel.rayleigh(1.0),
-                           2, 0.5, seed=1, num_bins=num_bins)
+            kept = synthesize(**kw, half=True)
+            assert np.array_equal(kept.bins, full.bins[:n // 2 + 1]), (m, snapshots)
 
 
 class TestFadingModel:
@@ -495,6 +493,19 @@ class TestDatasetIO:
         save_peak, load_peak = peaks
         assert save_peak <= 0.5
         assert load_peak <= 1.5
+
+    def test_half_set_is_not_saved(self, tmp_path):
+        cfg = default_scenario().resolved()
+        wave = generate_pulse(cfg.pulse)
+        kw = dict(pulse=wave, paths=cfg.paths, arr=cfg.array, fading=cfg.fading,
+                  num_snapshots=3, noise_var=cfg.noise_var, seed=cfg.seed)
+        path = tmp_path / "data.txt"
+        with pytest.raises(ValidationError, match="half set"):
+            save_dataset(synthesize(**kw, half=True), path)
+        assert not path.exists()
+        full = synthesize(**kw)
+        save_dataset(full, path)
+        assert np.array_equal(read_samples(path, full), time_series(full))
 
     def test_header_format(self, pulse_wave, tmp_path):
         snaps = one_path_snaps(pulse_wave, sensors=3, snapshots=2)

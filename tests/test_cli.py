@@ -311,6 +311,15 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "sensors: expected an integer, got 'eight'" in capsys.readouterr().err
 
+    def test_config_file_with_the_removed_forward_backward_key_is_2(self, tmp_path, capsys):
+        # even its one formerly legal value: the key is gone, not defaulted
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("sensors = 8\nforward_backward = false\n")
+        assert main(["run", "--snapshots", "5", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown config keys: ['forward_backward']" in captured.err
+
     @pytest.mark.parametrize(
         "settings",
         [["nu=5"], ["fading=deterministic", "sigma=2"]],
@@ -349,7 +358,8 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting, message", [
-        ("forward_backward=true", "forward_backward must be false"),
+        # the backward Hankel matrix equals the forward one, so the key is gone
+        ("forward_backward=true", "unknown config keys: ['forward_backward']"),
         ("rank=2", "unknown config keys: ['rank']"),  # the pencil truncates to the path count
     ], ids=["forward_backward", "rank"])
     def test_settings_the_pencil_has_no_use_for_are_2(self, capsys, setting, message):

@@ -280,7 +280,7 @@ class TestConfigHandling:
             "oversample": 4, "bits_seed": 1, "sensors": 64, "spacing": 0.5,
             "angles_deg": [-10.0, 20.0], "delays": [3.0, 7.0], "fading": "rayleigh",
             "sigma": 1.0, "snapshots": 200, "noise_var": 0.0, "band_threshold": 0.1,
-            "forward_backward": False, "weighted_fit": False, "seed": 1,
+            "weighted_fit": False, "seed": 1,
         }
         assert default_scenario().resolved().prony == PronyConfig(num_modes=2)
 
@@ -393,8 +393,7 @@ class TestConfigHandling:
         [(PronyConfig(2, prediction_order=7), True),
          (PronyConfig(2, prediction_order=8), False),
          (PronyConfig(2, prediction_order=0), False),
-         (PronyConfig(2, prediction_order=1), False),  # below the path count
-         (PronyConfig(2, forward_backward=True), False)],
+         (PronyConfig(2, prediction_order=1), False)],  # below the path count
     )
     def test_prony_settings_must_fit_the_array(self, prony, ok):
         # 8 sensors give 2*8-1 lags, so the prediction order is at most 7

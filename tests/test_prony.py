@@ -138,11 +138,6 @@ class TestSvdProny:
             two_sided = corr.two_sided()
             assert np.array_equal(np.conj(two_sided[::-1]), two_sided)
 
-    def test_forward_backward_is_rejected(self):
-        corr = sequence_from_modes([-0.7, 0.4], [1.0, 0.8], num_lags=48)
-        with pytest.raises(ValidationError, match="forward_backward"):
-            svd_prony(corr, PronyConfig(num_modes=2, forward_backward=True))
-
     def test_aliasing_overshoot_warns_and_flags(self):
         # spacing 0.4 maps a 3.0 rad increment to |sin| = 1.19 > 1
         lags = np.arange(24)

@@ -63,7 +63,6 @@ def scenario_keys(draw):
                          st.fixed_dictionaries({"bits": st.text("01", min_size=symbols,
                                                                 max_size=symbols)}),
                          st.fixed_dictionaries({"bits_seed": st.integers(0, 2**32)}))),
-        "forward_backward": draw(optional(st.just(False))),  # true is rejected
         "prediction_order": order,
         **{key: draw(optional(value)) for key, value in FADING_PARAMS[kind].items()},
     }
