@@ -8,8 +8,8 @@ estimate : run the estimation chain on a dataset file, report as JSON.
 run : full in-memory synthesis + estimation, report as JSON.
 montecarlo : repeated seeded runs with bias/RMSE aggregates.
 
-Exit codes: 0 on success, 2 on a configuration/validation error, 3 on an
-estimation failure.
+Exit codes: 0 on success, 2 on a configuration/validation error or a file that
+cannot be opened, 3 on an estimation failure.
 """
 
 from __future__ import annotations
@@ -218,15 +218,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    cfg = _load_scenario(args).resolved()
     snaps = load_dataset(args.data)
+    # the array is the dataset's, so the config's sensors and spacing are never read
+    cfg = replace(_load_scenario(args), array=snaps.array).resolved()
     wave = generate_pulse(cfg.pulse)
     if len(wave) != snaps.num_samples:
         raise ValidationError(
             f"dataset has N={snaps.num_samples} samples but the configured "
             f"pulse has N={len(wave)}"
         )
-    replace(cfg, array=snaps.array).validate()  # Prony settings must fit the dataset's array
     _emit_report(args, estimate(snaps, wave, cfg))
     return EXIT_OK
 
@@ -261,7 +261,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except EstimationError as exc:

@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .exceptions import EstimationError, ValidationError
 from .pulse import PulseConfig, SampledWaveform, Spectrum, generate_pulse, spectrum
-from .channel import ArrayConfig, FadingModel, PathParam, SnapshotSet, synthesize
+from .channel import (ArrayConfig, FadingModel, PathParam, SnapshotSet, synthesize,
+                      validate_synthesis)
 from .correlation import CorrelationSequence, estimate_correlation, select_band
 from .prony import ModeEstimate, PronyConfig, svd_prony
 from .delay import DelayEstimate, beamform, fit_delay, median0
@@ -63,45 +64,33 @@ class ScenarioConfig:
     num_snapshots: int
     noise_var: float
     band_threshold: float
-    prony: Optional[PronyConfig]
+    prediction_order: Optional[int]
     weighted_fit: bool
     seed: int
 
+    @property
+    def prony(self) -> PronyConfig:
+        """The matrix-pencil settings: one mode per path."""
+        return PronyConfig(len(self.paths), self.prediction_order)
+
     def validate(self) -> None:
         self.pulse.validate()
-        self.array.validate()
-        if len(self.paths) == 0:
-            raise ValidationError("scenario must define at least one path")
-        for p in self.paths:
-            p.validate(num_samples=self.pulse.num_samples)
-        self.fading.validate()
-        if self.num_snapshots < 1:
-            raise ValidationError(f"snapshots must be >= 1, got {self.num_snapshots}")
-        if not (np.isfinite(self.noise_var) and self.noise_var >= 0):
-            raise ValidationError(f"noise_var must be finite and >= 0, got {self.noise_var}")
+        validate_synthesis(self.array, self.fading, self.paths, self.pulse.num_samples,
+                           self.num_snapshots, self.noise_var, self.seed)
         if not 0.0 <= self.band_threshold < 1.0:
             raise ValidationError(
                 f"band_threshold must be in [0, 1), got {self.band_threshold}"
             )
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        prony = self.prony or PronyConfig(num_modes=len(self.paths))
-        if prony.num_modes != len(self.paths):
-            raise ValidationError(
-                f"prony.num_modes ({prony.num_modes}) must equal the "
-                f"number of paths ({len(self.paths)})"
-            )
         # the settings, default or explicit, must fit the 2M-1 lags of this array's correlation
-        prony.resolved(self.array.num_sensors)
+        self.prony.resolved(self.array.num_sensors)
 
     def resolved(self) -> "ScenarioConfig":
-        """Fill derived defaults (prony config, pulse bit seed)."""
+        """Validate, and draw absent pulse bits from the scenario seed."""
         self.validate()
-        prony = self.prony or PronyConfig(num_modes=len(self.paths))
         pulse = self.pulse
         if pulse.bits is None and pulse.bits_seed is None:
             pulse = replace(pulse, bits_seed=self.seed)
-        return replace(self, pulse=pulse, prony=prony)
+        return replace(self, pulse=pulse)
 
     def to_dict(self) -> dict:
         """Flat echo in :data:`CONFIG_KEYS` order; feeding it back rebuilds this scenario."""
@@ -201,7 +190,7 @@ CONFIG_KEYS = {
     "nu": _Key(_FLOAT, 0.0, lambda c: c.fading.nu, ("rician",)),
     "mean_db": _Key(_FLOAT, 0.0, lambda c: c.fading.mean_db, ("suzuki",)),
     "std_db": _Key(_FLOAT, 6.0, lambda c: c.fading.std_db, ("suzuki",)),
-    "prediction_order": _Key(_INT, None, lambda c: c.prony.prediction_order, estimate=True),
+    "prediction_order": _Key(_INT, None, lambda c: c.prediction_order, estimate=True),
 }
 
 
@@ -229,8 +218,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     params = {key: v[key] for key, row in CONFIG_KEYS.items() if kind in row.fading}
     if kind == "deterministic":
         params = {"beta": complex(params["beta_re"], params["beta_im"])}
-    num_modes = len(v["delays"])
-    prony = PronyConfig(num_modes, v["prediction_order"])
     return ScenarioConfig(
         pulse=PulseConfig(v["rolloff"], v["carrier_freq"], v["symbols"], v["oversample"],
                           v["bits"], v["bits_seed"]),
@@ -240,8 +227,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         num_snapshots=v["snapshots"],
         noise_var=v["noise_var"],
         band_threshold=v["band_threshold"],
-        # default settings are left to resolved(), so they follow a later change of paths
-        prony=None if prony == PronyConfig(num_modes) else prony,
+        prediction_order=v["prediction_order"],
         weighted_fit=v["weighted_fit"],
         seed=v["seed"],
     )
@@ -502,7 +488,7 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
         delay_bias = delay_err.mean(axis=0).tolist()
         delay_rmse = np.sqrt((delay_err**2).mean(axis=0)).tolist()
     return MonteCarloReport(
-        config=cfg.to_dict(),
+        config=_echo(cfg),
         trials=results,
         num_trials=trials,
         num_failed=len(results) - len(ok),

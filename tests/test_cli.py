@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +100,19 @@ class TestSimulateEstimate:
             header, rows = read_csv(out_dir / f"fit_path{i}.csv")
             assert header == ["omega", "phase_residual", "fitted_line"]
             assert len(rows) >= 3
+
+    def test_estimate_reads_its_array_from_the_dataset(self, tmp_path, capsys):
+        data = tmp_path / "snaps.txt"
+        assert main(["simulate", *SMALL, "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", *SMALL, "--data", str(data)]) == 0
+        expected = capsys.readouterr().out
+        # the config's array is neither validated nor warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for setting in ("sensors=2", "spacing=0.6"):
+                assert main(["estimate", *SMALL, "--set", setting, "--data", str(data)]) == 0
+                assert capsys.readouterr().out == expected
 
     def test_estimate_rejects_mismatched_pulse(self, tmp_path, capsys):
         data = tmp_path / "snaps.txt"
@@ -274,6 +292,17 @@ class TestScenarioKeys:
         assert again == first
 
 
+@pytest.mark.parametrize("command", [["run"], ["montecarlo", "--trials", "3"]])
+def test_aliasing_warning_is_printed_once(command):
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "jade.cli", *command, *SMALL, "--set", "spacing=0.6"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0
+    assert sum("exceeds 0.5" in line for line in out.stderr.splitlines()) == 1
+
+
 class TestMonteCarloCommand:
     def test_writes_aggregates(self, tmp_path):
         code = main(["montecarlo", *SMALL, "--trials", "3", "--out", str(tmp_path)])
@@ -396,6 +425,13 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["estimate", "--snapshots", "5", "--data", str(data)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run", "--config"], ["estimate", "--data"]])
+    def test_missing_input_file_is_2(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.txt"
+        assert main([*command, str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
 
     @pytest.mark.parametrize("command", [["run"], ["simulate"], ["pulse"]])
     def test_odd_symbol_count_is_2(self, tmp_path, capsys, command):

@@ -67,11 +67,6 @@ class TestRunPipeline:
         with pytest.raises(ValidationError):
             run_pipeline(cfg)
 
-    def test_rejects_mode_count_mismatch(self):
-        cfg = replace(default_scenario(), prony=PronyConfig(num_modes=3))
-        with pytest.raises(ValidationError):
-            run_pipeline(cfg)
-
     def test_stage_name_in_estimation_error(self, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic numerical failure")
@@ -252,9 +247,9 @@ class TestMonteCarlo:
         run_pipeline(cfg)
         assert calls["n"] == 1
         calls["n"] = 0
-        # once for the base config and once for the echo, not per trial
+        # once for the base config, whose echo and trials reuse it
         monte_carlo(cfg, trials=10)
-        assert calls["n"] == 2
+        assert calls["n"] == 1
 
     def test_pulse_is_generated_once_per_run(self, monkeypatch):
         calls = {"n": 0}
@@ -377,6 +372,21 @@ class TestConfigHandling:
         with pytest.raises(ValidationError, match=f"{key} is not a parameter of {kind} fading"):
             scenario_from_dict({"fading": kind, key: 1.0})
 
+    def test_prony_settings_follow_the_paths(self):
+        cfg = scenario_from_dict({"prediction_order": 9})
+        three = [PathParam(-30.0, 2.0), PathParam(0.0, 5.0), PathParam(25.0, 9.0)]
+        again = replace(cfg, paths=three)
+        assert again.prony == PronyConfig(num_modes=3, prediction_order=9)
+
+    def test_synthesize_and_scenario_share_their_checks(self):
+        cfg = replace(default_scenario(), num_snapshots=0)
+        with pytest.raises(ValidationError) as from_scenario:
+            cfg.validate()
+        with pytest.raises(ValidationError) as from_synthesize:
+            synthesize(generate_pulse(cfg.pulse), cfg.paths, cfg.array, cfg.fading, 0)
+        message = "snapshots must be >= 1, got 0"
+        assert str(from_scenario.value) == str(from_synthesize.value) == message
+
     def test_scenario_validation(self):
         cfg = replace(default_scenario(), num_snapshots=0)
         with pytest.raises(ValidationError):
@@ -390,14 +400,14 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "prony,ok",
-        [(PronyConfig(2, prediction_order=7), True),
-         (PronyConfig(2, prediction_order=8), False),
-         (PronyConfig(2, prediction_order=0), False),
-         (PronyConfig(2, prediction_order=1), False)],  # below the path count
+        [({"prediction_order": 7}, True),
+         ({"prediction_order": 8}, False),
+         ({"prediction_order": 0}, False),
+         ({"prediction_order": 1}, False)],  # below the path count
     )
     def test_prony_settings_must_fit_the_array(self, prony, ok):
         # 8 sensors give 2*8-1 lags, so the prediction order is at most 7
-        cfg = replace(default_scenario(), array=ArrayConfig(8, 0.5), prony=prony)
+        cfg = replace(default_scenario(), array=ArrayConfig(8, 0.5), **prony)
         if ok:
             cfg.validate()
         else:
