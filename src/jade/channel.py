@@ -24,7 +24,6 @@ __all__ = [
     "FadingModel",
     "SnapshotSet",
     "steering_vector",
-    "validate_synthesis",
     "synthesize",
     "save_dataset",
     "load_dataset",
@@ -237,23 +236,6 @@ def delayed_pulse_spectrum(pulse_values: np.ndarray, delay: float) -> np.ndarray
     return np.fft.fft(pulse_values) * np.exp(-1j * omega * delay)
 
 
-def validate_synthesis(arr: ArrayConfig, fading: FadingModel, paths: Sequence[PathParam],
-                       num_samples: int, num_snapshots: int, noise_var: float, seed: int) -> None:
-    """Check the inputs of :func:`synthesize` for a pulse of ``num_samples`` samples."""
-    arr.validate()
-    fading.validate()
-    if len(paths) == 0:
-        raise ValidationError("at least one path is required")
-    for p in paths:
-        p.validate(num_samples=num_samples)
-    if num_snapshots < 1:
-        raise ValidationError(f"snapshots must be >= 1, got {num_snapshots}")
-    if not (np.isfinite(noise_var) and noise_var >= 0):
-        raise ValidationError(f"noise_var must be finite and >= 0, got {noise_var}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-
-
 def synthesize(
     pulse: SampledWaveform,
     paths: Sequence[PathParam],
@@ -283,7 +265,18 @@ def synthesize(
     it never draws from stream 2, so it draws half the normals.
     """
     n = len(pulse)
-    validate_synthesis(arr, fading, paths, n, num_snapshots, noise_var, seed)
+    arr.validate()
+    fading.validate()
+    if len(paths) == 0:
+        raise ValidationError("at least one path is required")
+    for p in paths:
+        p.validate(num_samples=n)
+    if num_snapshots < 1:
+        raise ValidationError(f"snapshots must be >= 1, got {num_snapshots}")
+    if not (np.isfinite(noise_var) and noise_var >= 0):
+        raise ValidationError(f"noise_var must be finite and >= 0, got {noise_var}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     upper = n // 2 + 1  # stream 2's first bin
     kept = upper if half else n
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -52,14 +51,16 @@ def _write_csv(path: Path, header, rows) -> None:
 def _write_pulse_csvs(cfg: ScenarioConfig, out_dir: Path) -> None:
     wave = generate_pulse(cfg.pulse)
     spec = spectrum(wave)
+    # The unwrapped phase is written only over the band the estimator reads.
+    band = select_band(spec, cfg.band_threshold)
+    # the pulse and band settings are checked by now, so a rejected one makes no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "pulse_waveform.csv",
         ["t", "g"],
         zip(wave.t, wave.values),
     )
-    # The unwrapped phase is written only over the band the estimator reads.
     phase = np.angle(spec.values)
-    band = select_band(spec, cfg.band_threshold)
     unwrapped = dict(zip(band, unwrap_phase(phase[band])))
     rows = [
         [spec.omega[q], spec.magnitude[q], phase[q], unwrapped.get(int(q), "")]
@@ -196,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_pulse(args) -> int:
     # the pulse `jade run` transmits: its bits are drawn from the scenario seed
     cfg = _load_scenario(args).resolved()
-    args.out.mkdir(parents=True, exist_ok=True)
     _write_pulse_csvs(cfg, args.out)
     print(f"wrote {args.out / 'pulse_waveform.csv'} and {args.out / 'pulse_spectrum.csv'}")
     return EXIT_OK
@@ -219,8 +219,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     snaps = load_dataset(args.data)
-    # the array is the dataset's, so the config's sensors and spacing are never read
-    cfg = replace(_load_scenario(args), array=snaps.array).resolved()
+    # estimate() reads the array of the dataset, never the config's sensors and spacing
+    cfg = _load_scenario(args).resolved()
     wave = generate_pulse(cfg.pulse)
     if len(wave) != snaps.num_samples:
         raise ValidationError(

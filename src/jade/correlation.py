@@ -51,21 +51,21 @@ class CorrelationSequence:
         return np.concatenate([np.conj(self.values[:0:-1]), self.values])
 
 
-def select_band(g_spec: Spectrum, eta: float) -> range:
+def select_band(g_spec: Spectrum, band_threshold: float) -> range:
     """Positive-frequency bins where the pulse spectrum has energy.
 
     Returns the contiguous run of bins q in 1..N//2 (natural DFT order),
     grown outward from the positive-frequency magnitude peak while
-    |g| >= eta * max|g|, as ``range(start, stop)``. The negative half is
-    left out by choice, not for lack of signal: each of its bins carries
-    the same paths with the same steering vector, an independent look
-    that the correlation does not yet average.
+    |g| >= band_threshold * max|g|, as ``range(start, stop)``. The
+    negative half is left out by choice, not for lack of signal: each of
+    its bins carries the same paths with the same steering vector, an
+    independent look that the correlation does not yet average.
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValidationError(f"eta must be in [0, 1), got {eta}")
+    if not 0.0 <= band_threshold < 1.0:
+        raise ValidationError(f"band_threshold must be in [0, 1), got {band_threshold}")
     magnitude = g_spec.magnitude
     hi = len(magnitude) // 2  # the last bin with omega > 0
-    level = eta * magnitude.max()
+    level = band_threshold * magnitude.max()
     start = stop = 1 + int(np.argmax(magnitude[1 : hi + 1]))
     while start > 1 and magnitude[start - 1] >= level:
         start -= 1

@@ -18,10 +18,9 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .exceptions import EstimationError, ValidationError
+from .exceptions import EstimationError, JadeError, ValidationError
 from .pulse import PulseConfig, SampledWaveform, Spectrum, generate_pulse, spectrum
-from .channel import (ArrayConfig, FadingModel, PathParam, SnapshotSet, synthesize,
-                      validate_synthesis)
+from .channel import ArrayConfig, FadingModel, PathParam, SnapshotSet, synthesize
 from .correlation import CorrelationSequence, estimate_correlation, select_band
 from .prony import ModeEstimate, PronyConfig, svd_prony
 from .delay import DelayEstimate, beamform, fit_delay, median0
@@ -73,20 +72,14 @@ class ScenarioConfig:
         """The matrix-pencil settings: one mode per path."""
         return PronyConfig(len(self.paths), self.prediction_order)
 
-    def validate(self) -> None:
-        self.pulse.validate()
-        validate_synthesis(self.array, self.fading, self.paths, self.pulse.num_samples,
-                           self.num_snapshots, self.noise_var, self.seed)
-        if not 0.0 <= self.band_threshold < 1.0:
-            raise ValidationError(
-                f"band_threshold must be in [0, 1), got {self.band_threshold}"
-            )
-        # the settings, default or explicit, must fit the 2M-1 lags of this array's correlation
-        self.prony.resolved(self.array.num_sensors)
-
     def resolved(self) -> "ScenarioConfig":
-        """Validate, and draw absent pulse bits from the scenario seed."""
-        self.validate()
+        """Draw absent pulse bits from the scenario seed.
+
+        Only the seed is checked here, as the pulse bits and the trial seeds
+        derive from it; every other setting is checked by the stage that reads it.
+        """
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         pulse = self.pulse
         if pulse.bits is None and pulse.bits_seed is None:
             pulse = replace(pulse, bits_seed=self.seed)
@@ -94,14 +87,10 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         """Flat echo in :data:`CONFIG_KEYS` order; feeding it back rebuilds this scenario."""
-        return _echo(self.resolved())
-
-
-def _echo(cfg: ScenarioConfig) -> dict:
-    """The :data:`CONFIG_KEYS` echo of an already resolved ``cfg``, without validating again."""
-    echo = ((key, row.echo(cfg)) for key, row in CONFIG_KEYS.items()
-            if not row.fading or cfg.fading.kind in row.fading)
-    return {key: value for key, value in echo if value is not None}
+        cfg = self.resolved()
+        echo = ((key, row.echo(cfg)) for key, row in CONFIG_KEYS.items()
+                if not row.fading or cfg.fading.kind in row.fading)
+        return {key: value for key, value in echo if value is not None}
 
 
 def default_scenario() -> ScenarioConfig:
@@ -313,7 +302,7 @@ class RunReport:
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except EstimationError:
+    except JadeError:
         raise
     except Exception as exc:
         raise EstimationError(name, str(exc)) from exc
@@ -326,8 +315,9 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
     pencil (angles), beamforming, phase slope fit (delays). ``cfg`` must be
     resolved; only its estimation settings are read, and only those (the
     :data:`CONFIG_KEYS` marked ``estimate``, with the array and snapshot
-    count of ``snaps``) are echoed. Any stage failure is reported with the
-    stage name. The report carries no truth fields and keeps the stage
+    count of ``snaps``) are echoed. A setting a stage rejects raises its
+    ValidationError; any other stage failure is an EstimationError naming
+    the stage. The report carries no truth fields and keeps the stage
     outputs in ``artifacts``.
     """
     started = time.perf_counter()
@@ -337,7 +327,7 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
     modes = _stage("prony", svd_prony, corr, cfg.prony)
     beams = _stage("beamform", beamform, snaps, modes.sines)
     delays = _stage("fit_delay", fit_delay, beams, pulse_spec, band, cfg.weighted_fit)
-    echo = dict(_echo(cfg), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
+    echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
                 snapshots=snaps.num_snapshots)
     return RunReport(
         config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate},
@@ -368,9 +358,9 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
 
     Stages: pulse generation, snapshot synthesis, then the estimation
     chain of :func:`estimate`, whose report gains the truth and error
-    fields. Any stage failure is reported with the stage name.
-    Deterministic for a fixed (config, seed). Only bins 0..N/2, which hold
-    every band :func:`select_band` picks, are synthesized.
+    fields. Failures are raised as in :func:`estimate`. Deterministic for
+    a fixed (config, seed). Only bins 0..N/2, which hold every band
+    :func:`select_band` picks, are synthesized.
     """
     cfg = cfg.resolved()
     started = time.perf_counter()
@@ -391,7 +381,7 @@ def _run(cfg: ScenarioConfig, pulse_wave: SampledWaveform, started: float,
     delays_true = [cfg.paths[i].delay for i in order]
     return replace(
         report,
-        config=_echo(cfg),
+        config=cfg.to_dict(),
         angles_true_deg=angles_true,
         delays_true=delays_true,
         angle_errors_deg=(np.asarray(report.angles_est_deg) - angles_true).tolist(),
@@ -443,7 +433,7 @@ def _run_trial(cfg: ScenarioConfig, pulse_wave: SampledWaveform, trial: int) -> 
     entry = {"trial": trial, "seed": seed}
     try:
         report = _run(replace(cfg, seed=seed), pulse_wave, time.perf_counter())
-    except (EstimationError, ValidationError) as exc:
+    except EstimationError as exc:  # a ValidationError is the config's: it fails the whole call
         entry.update({"ok": False, "error": str(exc)})
         return entry
     entry.update(
@@ -465,12 +455,12 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
     """Run ``trials`` independent seeded pipelines and aggregate statistics.
 
     Trials run in order with seeds derived from (config seed, trial
-    index). The config is resolved and validated, and the pulse generated,
-    once from the base config, so every trial observes the same known pulse
-    and only the fading/noise realizations differ. A trial equals
-    :func:`run_pipeline` on the resolved base config with the trial's seed.
-    Failed trials are reported with their error and excluded from the
-    bias/RMSE aggregates.
+    index). The pulse is generated once per call, so every trial observes
+    the same known pulse and only the fading/noise realizations differ. A
+    trial equals :func:`run_pipeline` on the resolved base config with the
+    trial's seed. Trials that fail to estimate are reported with their error
+    and excluded from the bias/RMSE aggregates; a setting a stage rejects
+    fails the whole call.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -488,7 +478,7 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
         delay_bias = delay_err.mean(axis=0).tolist()
         delay_rmse = np.sqrt((delay_err**2).mean(axis=0)).tolist()
     return MonteCarloReport(
-        config=_echo(cfg),
+        config=cfg.to_dict(),
         trials=results,
         num_trials=trials,
         num_failed=len(results) - len(ok),

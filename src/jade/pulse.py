@@ -68,6 +68,8 @@ class PulseConfig:
             raise ValidationError(f"symbol_count must be even and >= 2, got {self.symbol_count}")
         if self.oversample < 1:
             raise ValidationError(f"oversample must be >= 1, got {self.oversample}")
+        if self.bits_seed is not None and self.bits_seed < 0:
+            raise ValidationError(f"bits_seed must be >= 0, got {self.bits_seed}")
         if self.bits is not None:
             bits = np.asarray(self.bits)
             if bits.shape != (self.symbol_count,):
@@ -144,7 +146,6 @@ def generate_pulse(cfg: PulseConfig) -> SampledWaveform:
     middle of the window. The removable singularities of the raised-cosine
     factors (t = 0 and |t| = 1/(2*rolloff)) are replaced by their limits.
     """
-    cfg.validate()
     bits = cfg.resolve_bits()
     n_total = cfg.num_samples
     t = (np.arange(n_total) - n_total / 2) / cfg.oversample

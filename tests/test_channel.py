@@ -447,6 +447,10 @@ class TestFadingModel:
             FadingModel.rician(nu=-1.0, sigma=1.0).validate()
         with pytest.raises(ValidationError):
             FadingModel(kind="nakagami").validate()
+        with pytest.raises(ValidationError, match="std_db must be >= 0, got -1.0"):
+            FadingModel.suzuki(std_db=-1.0).validate()
+        with pytest.raises(ValidationError, match="K-factor must be >= 0"):
+            FadingModel.rician_from_k(-1.0)
         for kind in FadingModel._KINDS:
             for field in ("beta", "sigma", "nu", "mean_db", "std_db"):
                 for bad in (np.nan, np.inf):
@@ -537,3 +541,9 @@ class TestDatasetIO:
         (tmp_path / "cut.txt").write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValidationError):
             load_dataset(tmp_path / "cut.txt")
+        # a line cut short by one sample
+        lines[1] = lines[1][: lines[1].rindex(",")]
+        (tmp_path / "short.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError,
+                           match=r"expected 128 re:im samples per line, got 127 \(snapshot 0, sensor 0\)"):
+            load_dataset(tmp_path / "short.txt")

@@ -48,6 +48,12 @@ class TestPulseCommand:
         turns = (np.array([float(r[3]) for r in rows if r[3] != ""]) - phase) / (2 * np.pi)
         assert np.allclose(turns, np.round(turns), atol=1e-9)
 
+    def test_ignores_the_keys_only_synthesis_reads(self, tmp_path):
+        assert main(["pulse", "--out", str(tmp_path / "a")]) == 0
+        assert main(["pulse", "--set", "noise_var=-1", "--out", str(tmp_path / "b")]) == 0
+        for name in ("pulse_waveform.csv", "pulse_spectrum.csv"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
     def test_writes_the_pulse_that_run_transmits(self, tmp_path):
         # the bits follow the scenario seed, as in `jade run` and `jade simulate`
         assert main(["pulse", "--out", str(tmp_path / "a")]) == 0
@@ -114,6 +120,25 @@ class TestSimulateEstimate:
                 assert main(["estimate", *SMALL, "--set", setting, "--data", str(data)]) == 0
                 assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("settings", [["noise_var=-1"], ["fading=rician", "sigma=-1"]],
+                             ids=["noise_var", "rician-sigma"])
+    def test_estimate_ignores_the_keys_only_synthesis_reads(self, tmp_path, capsys, settings):
+        data = tmp_path / "snaps.txt"
+        assert main(["simulate", *SMALL, "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", *SMALL, "--data", str(data)]) == 0
+        expected = capsys.readouterr().out
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        assert main(["estimate", *SMALL, *args, "--data", str(data)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_simulate_ignores_the_band_threshold(self, tmp_path):
+        data = tmp_path / "snaps.txt"
+        assert main(["simulate", *SMALL, "--out", str(data)]) == 0
+        again = tmp_path / "again.txt"
+        assert main(["simulate", *SMALL, "--set", "band_threshold=1", "--out", str(again)]) == 0
+        assert again.read_bytes() == data.read_bytes()
+
     def test_estimate_rejects_mismatched_pulse(self, tmp_path, capsys):
         data = tmp_path / "snaps.txt"
         main(["simulate", *SMALL, "--out", str(data)])
@@ -124,7 +149,7 @@ class TestSimulateEstimate:
         assert "error:" in capsys.readouterr().err
 
     # S=1 leaves the file's second snapshot as lines beyond the header's S*M
-    @pytest.mark.parametrize("field", ["S=-1", "delta=0.0", "M=1", "delta=nan", "S=1"])
+    @pytest.mark.parametrize("field", ["S=-1", "delta=0.0", "M=1", "delta=nan", "S=1", "M=abc"])
     def test_estimate_rejects_malformed_header(self, tmp_path, capsys, field):
         data = tmp_path / "snaps.txt"
         main(["simulate", *SMALL, "--set", "snapshots=2", "--out", str(data)])
@@ -313,6 +338,22 @@ class TestMonteCarloCommand:
         assert len(report["trials"]) == 3
         assert len(report["angle_rmse_deg"]) == 2
 
+    def test_failed_trials_are_counted_on_stderr(self, monkeypatch, capsys):
+        from jade.prony import svd_prony
+        calls = {"n": 0}
+
+        def flaky(corr, cfg):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise EstimationError("prony", "injected")
+            return svd_prony(corr, cfg)
+
+        monkeypatch.setattr("jade.pipeline.svd_prony", flaky)
+        assert main(["montecarlo", *SMALL, "--trials", "3"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["num_failed"] == 1
+        assert "1/3 trials failed" in captured.err
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, capsys):
@@ -326,7 +367,9 @@ class TestExitCodes:
         "setting",
         ["noise_var=nan", "noise_var=inf", "spacing=nan", "sigma=nan", "carrier_freq=nan",
          # values that are not numbers at all
-         "sensors=abc", "noise_var=x", "snapshots=1.5", "schema=abc", "prediction_order=z"],
+         "sensors=abc", "noise_var=x", "snapshots=1.5", "schema=abc", "prediction_order=z",
+         "delays=nan,7", "fading=nakagami",
+         "sensors"],  # no '=' at all
     )
     def test_non_finite_value_is_2(self, capsys, setting):
         assert main(["run", *SMALL, "--set", setting]) == 2
@@ -440,6 +483,28 @@ class TestExitCodes:
         assert main([*command, *args, "--out", str(tmp_path / "out")]) == 2
         assert "symbol_count must be even" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["pulse"], ["simulate"], ["run"],
+                                         ["montecarlo", "--trials", "2"]])
+    def test_negative_bits_seed_is_2(self, tmp_path, capsys, command):
+        args = ["--snapshots", "3", "--set", "sensors=4", "--set", "bits_seed=-1"]
+        assert main([*command, *args, "--out", str(tmp_path / "out")]) == 2
+        assert "error: bits_seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bits", [[], ["--set", "bits=" + "01" * 16]], ids=["drawn", "explicit"])
+    @pytest.mark.parametrize("command", [["run"], ["montecarlo", "--trials", "2"]])
+    def test_negative_seed_is_2(self, capsys, command, bits):
+        # the trial seeds derive from it even when the pulse bits do not
+        assert main([*command, "--snapshots", "3", "--set", "sensors=4", *bits, "--seed", "-1"]) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_band_too_narrow_for_the_delay_fit_is_2(self, capsys):
+        # the band follows from the pulse and band_threshold alone: a config error
+        args = ["--snapshots", "2", "--set", "sensors=8", "--set", "symbols=4",
+                "--set", "oversample=1", "--set", "delays=0.5,1"]
+        assert main(["run", *args]) == 2
+        assert "band must be a run of at least 3 consecutive bins" in capsys.readouterr().err
 
     def test_estimation_failure_is_3(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

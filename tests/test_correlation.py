@@ -111,7 +111,7 @@ class TestSelectBand:
     def test_rejects_bad_eta(self, keyed_pulse):
         _, _, spec = keyed_pulse
         for eta in (1.0, 1.5, -0.1):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=r"band_threshold must be in \[0, 1\)"):
                 select_band(spec, eta)
 
 

@@ -26,7 +26,7 @@ from jade import (
     scenario_from_dict,
     synthesize,
 )
-from jade.pipeline import CONFIG_KEYS, ScenarioConfig, estimate, trial_seed
+from jade.pipeline import CONFIG_KEYS, estimate, trial_seed
 
 
 def small_scenario(**kw):
@@ -234,20 +234,20 @@ class TestMonteCarlo:
                 [t["angle_errors_deg"] for t in mc.trials]) ** 2))))
         assert rmses[1] < rmses[0]
 
-    def test_config_is_validated_once_per_run(self, monkeypatch):
+    def test_pulse_config_is_checked_once_per_run(self, monkeypatch):
+        # each setting is checked by the stage that reads it, and the pulse is made once
         calls = {"n": 0}
-        real_validate = ScenarioConfig.validate
+        real_validate = PulseConfig.validate
 
-        def counting(cfg):
+        def counting(pulse_cfg):
             calls["n"] += 1
-            real_validate(cfg)
+            real_validate(pulse_cfg)
 
-        monkeypatch.setattr(ScenarioConfig, "validate", counting)
+        monkeypatch.setattr(PulseConfig, "validate", counting)
         cfg = small_scenario(num_snapshots=5)
         run_pipeline(cfg)
         assert calls["n"] == 1
         calls["n"] = 0
-        # once for the base config, whose echo and trials reuse it
         monte_carlo(cfg, trials=10)
         assert calls["n"] == 1
 
@@ -381,22 +381,25 @@ class TestConfigHandling:
     def test_synthesize_and_scenario_share_their_checks(self):
         cfg = replace(default_scenario(), num_snapshots=0)
         with pytest.raises(ValidationError) as from_scenario:
-            cfg.validate()
+            run_pipeline(cfg)
+        with pytest.raises(ValidationError) as from_monte_carlo:
+            monte_carlo(cfg, trials=2)
         with pytest.raises(ValidationError) as from_synthesize:
             synthesize(generate_pulse(cfg.pulse), cfg.paths, cfg.array, cfg.fading, 0)
         message = "snapshots must be >= 1, got 0"
         assert str(from_scenario.value) == str(from_synthesize.value) == message
+        assert str(from_monte_carlo.value) == message
 
     def test_scenario_validation(self):
-        cfg = replace(default_scenario(), num_snapshots=0)
-        with pytest.raises(ValidationError):
-            cfg.validate()
-        cfg = replace(default_scenario(), band_threshold=1.0)
-        with pytest.raises(ValidationError):
-            cfg.validate()
-        cfg = replace(default_scenario(), seed=-1)
-        with pytest.raises(ValidationError):
-            cfg.validate()
+        cases = [({"num_snapshots": 0}, "snapshots must be >= 1"),
+                 ({"band_threshold": 1.0}, r"band_threshold must be in \[0, 1\)"),
+                 ({"seed": -1}, "^seed must be >= 0")]
+        for fields, message in cases:
+            cfg = replace(default_scenario(), **fields)
+            with pytest.raises(ValidationError, match=message):
+                run_pipeline(cfg)
+            with pytest.raises(ValidationError, match=message):
+                monte_carlo(cfg, trials=2)
 
     @pytest.mark.parametrize(
         "prony,ok",
@@ -407,12 +410,15 @@ class TestConfigHandling:
     )
     def test_prony_settings_must_fit_the_array(self, prony, ok):
         # 8 sensors give 2*8-1 lags, so the prediction order is at most 7
-        cfg = replace(default_scenario(), array=ArrayConfig(8, 0.5), **prony)
+        cfg = replace(default_scenario(), array=ArrayConfig(8, 0.5), num_snapshots=5, **prony)
         if ok:
-            cfg.validate()
+            assert cfg.prony.resolved(8).prediction_order == prony["prediction_order"]
+            run_pipeline(cfg)
         else:
-            with pytest.raises(ValidationError):
-                cfg.validate()
+            with pytest.raises(ValidationError, match="prediction_order"):
+                cfg.prony.resolved(8)
+            with pytest.raises(ValidationError, match="prediction_order"):
+                run_pipeline(cfg)
 
     @pytest.mark.parametrize(
         "sensors,paths,ok",
@@ -423,12 +429,12 @@ class TestConfigHandling:
         cfg = small_scenario(array=ArrayConfig(sensors, 0.5), num_snapshots=3,
                              paths=[PathParam(10.0 * i, float(i)) for i in range(paths)])
         if ok:
-            cfg.validate()
+            cfg.prony.resolved(sensors)
             assert monte_carlo(cfg, trials=1).num_trials == 1
         else:
             with pytest.raises(ValidationError, match="prediction_order"):
-                cfg.validate()
-            with pytest.raises(ValidationError):
+                cfg.prony.resolved(sensors)
+            with pytest.raises(ValidationError, match="prediction_order"):
                 monte_carlo(cfg, trials=2)
 
     def test_odd_symbol_count_fails_monte_carlo_as_a_whole(self):

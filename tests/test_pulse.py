@@ -33,6 +33,14 @@ class TestPulseConfig:
         with pytest.raises(ValidationError):
             PulseConfig(0.35, 0.25, 4, 4, bits=[0, 1, 2, 0]).validate()
 
+    def test_rejects_negative_bits_seed(self):
+        # a typed error, not numpy's seed error from drawing the bits
+        cfg = PulseConfig(0.35, 0.25, 32, 4, bits_seed=-1)
+        with pytest.raises(ValidationError, match="bits_seed must be >= 0, got -1"):
+            cfg.validate()
+        with pytest.raises(ValidationError, match="bits_seed"):
+            generate_pulse(cfg)
+
     def test_bits_reproducible_from_seed(self):
         a = PulseConfig(0.35, 0.25, 32, 4, bits_seed=9).resolve_bits()
         b = PulseConfig(0.35, 0.25, 32, 4, bits_seed=9).resolve_bits()
