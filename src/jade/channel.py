@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ValidationError, open_text
 from .pulse import SampledWaveform, _omega_grid
 
 __all__ = [
@@ -218,22 +218,21 @@ class SnapshotSet:
         return self.bins.shape[0]
 
 
-def steering_vector(arr: ArrayConfig, angle_deg: float) -> np.ndarray:
-    """Array response to a unit plane wave from ``angle_deg``.
+def steering_vector(arr: ArrayConfig, angle_deg: float | Sequence[float]) -> np.ndarray:
+    """Array response to unit plane waves: (M,) for one angle, (L, M) for L angles.
 
     Element k (1-based) is exp(j*2*pi*spacing*(k-1)*sin(angle)).
     """
     arr.validate()
     sin_theta = np.sin(np.radians(angle_deg))
     k = np.arange(arr.num_sensors)
-    return np.exp(2j * np.pi * arr.spacing * k * sin_theta)
+    return np.exp(2j * np.pi * arr.spacing * k * sin_theta[..., None])
 
 
-def delayed_pulse_spectrum(pulse_values: np.ndarray, delay: float) -> np.ndarray:
-    """Spectrum of the pulse delayed by ``delay`` samples (circular shift)."""
-    n = len(pulse_values)
-    omega = _omega_grid(n)
-    return np.fft.fft(pulse_values) * np.exp(-1j * omega * delay)
+def delayed_pulse_spectrum(pulse_values: np.ndarray, delays: Sequence[float]) -> np.ndarray:
+    """(N, L) spectra of the pulse circularly delayed by each of L ``delays``, from one FFT."""
+    omega = _omega_grid(len(pulse_values))
+    return np.fft.fft(pulse_values)[:, None] * np.exp(-1j * omega[:, None] * delays)
 
 
 def synthesize(
@@ -265,8 +264,6 @@ def synthesize(
     it never draws from stream 2, so it draws half the normals.
     """
     n = len(pulse)
-    arr.validate()
-    fading.validate()
     if len(paths) == 0:
         raise ValidationError("at least one path is required")
     for p in paths:
@@ -281,9 +278,9 @@ def synthesize(
     kept = upper if half else n
 
     m = arr.num_sensors
-    # (N, L) delayed pulse spectra and (L, M) steering rows are fixed across snapshots.
-    delayed = np.column_stack([delayed_pulse_spectrum(pulse.values, p.delay) for p in paths])
-    steering = np.array([steering_vector(arr, p.angle_deg) for p in paths])
+    # fixed across snapshots; steering_vector checks the array and draw the fading model
+    delayed = delayed_pulse_spectrum(pulse.values, [p.delay for p in paths])
+    steering = steering_vector(arr, [p.angle_deg for p in paths])
 
     betas = fading.draw(np.random.default_rng([seed, 0]), (num_snapshots, len(paths)))
     coef = betas[:, :, None] * steering
@@ -359,7 +356,7 @@ def load_dataset(path) -> SnapshotSet:
     DFT is stored into ``bins``, so the full time series is never held. The
     fading coefficients are not stored in the file, so ``betas`` is ``None``.
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = _parse_header(fh.readline().strip())
         m, n, s_count = header["M"], header["N"], header["S"]
         arr = ArrayConfig(num_sensors=m, spacing=header["delta"])
@@ -390,6 +387,8 @@ def load_dataset(path) -> SnapshotSet:
                     raise ValidationError(
                         f"non-numeric sample at snapshot {s}, sensor {k}"
                     ) from exc
+                if not np.isfinite(series[k]).all():
+                    raise ValidationError(f"non-finite sample at snapshot {s}, sensor {k}")
             bins[:, s] = np.fft.fft(series, axis=-1).T
         if any(line.strip() for line in fh):
             raise ValidationError(f"dataset has data lines beyond the header's S={s_count}")

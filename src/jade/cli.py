@@ -89,16 +89,15 @@ def _dump_roots(modes, out_dir: Path) -> None:
                zip(roots.real, roots.imag, np.abs(roots)))
 
 
-def _dump_fit(delays, pulse_spec, out_dir: Path, snapshot: int = 0) -> None:
-    # One CSV per path: unwrapped residual phase of one representative
-    # snapshot against the fitted line.
+def _dump_fit(delays, pulse_spec, out_dir: Path) -> None:
+    # One CSV per path: unwrapped residual phase of snapshot 0 against the fitted line.
     omega = pulse_spec.omega[delays.band]
     for i in range(delays.slope.shape[1]):
-        line = delays.slope[snapshot, i] * omega + delays.intercept[snapshot, i]
+        line = delays.slope[0, i] * omega + delays.intercept[0, i]
         _write_csv(
             out_dir / f"fit_path{i + 1}.csv",
             ["omega", "phase_residual", "fitted_line"],
-            zip(omega, delays.phase[snapshot, i], line),
+            zip(omega, delays.phase[0, i], line),
         )
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file opener that raises one."""
+
+from contextlib import contextmanager
 
 
 class JadeError(Exception):
@@ -19,3 +21,13 @@ class EstimationError(JadeError, RuntimeError):
     def __init__(self, stage: str, message: str):
         self.stage = stage
         super().__init__(f"[{stage}] {message}")
+
+
+@contextmanager
+def open_text(path):
+    """``open(path)`` for reading UTF-8 text; bytes that are not UTF-8 raise ValidationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text") from exc

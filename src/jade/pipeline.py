@@ -18,7 +18,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .exceptions import EstimationError, JadeError, ValidationError
+from .exceptions import EstimationError, JadeError, ValidationError, open_text
 from .pulse import PulseConfig, SampledWaveform, Spectrum, generate_pulse, spectrum
 from .channel import ArrayConfig, FadingModel, PathParam, SnapshotSet, synthesize
 from .correlation import CorrelationSequence, estimate_correlation, select_band
@@ -225,7 +225,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
 def read_config(path) -> dict:
     """The raw keys of a flat ``key = value`` config file (# starts a comment)."""
     raw: dict = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -83,6 +84,13 @@ class TestSteeringVector:
         with pytest.warns(UserWarning, match="alias"):
             steering_vector(ArrayConfig(4, 0.7), 10.0)
 
+    def test_angle_sequence_gives_the_per_angle_rows(self):
+        arr = ArrayConfig(7, 0.5)
+        angles = [-40.0, 0.0, 13.7, 65.0]
+        rows = steering_vector(arr, angles)
+        assert rows.shape == (4, 7)
+        assert np.array_equal(rows, np.array([steering_vector(arr, a) for a in angles]))
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             steering_vector(ArrayConfig(1, 0.5), 0.0)
@@ -145,14 +153,15 @@ class TestSynthesize:
         nu, sigma = 1.0, 0.5
         seed, count, noise_var = 9, 7, 0.3
         n, m = len(pulse_wave), arr.num_sensors
-        delayed = np.array(
-            [np.fft.ifft(delayed_pulse_spectrum(pulse_wave.values, p.delay)) for p in paths]
+        # (N, L) delayed pulses and (M, L) steering matrix
+        delayed = np.fft.ifft(
+            delayed_pulse_spectrum(pulse_wave.values, [p.delay for p in paths]), axis=0
         )
-        steering = np.column_stack([steering_vector(arr, p.angle_deg) for p in paths])
+        steering = steering_vector(arr, [p.angle_deg for p in paths]).T
         z = np.random.default_rng([seed, 0]).standard_normal((count, len(paths), 4))
         u = z[..., 2] + 1j * z[..., 3]
         betas = (nu + sigma * (z[..., 0] + 1j * z[..., 1])) * (u / np.abs(u))
-        data = (steering * betas[:, None, :]) @ delayed
+        data = (steering * betas[:, None, :]) @ delayed.T
         z = np.concatenate([
             np.random.default_rng([seed, 1]).standard_normal((count, n // 2 + 1, m, 2)),
             np.random.default_rng([seed, 2]).standard_normal((count, n // 2 - 1, m, 2)),
@@ -164,6 +173,24 @@ class TestSynthesize:
         snaps = synthesize(pulse_wave, paths, arr, fading, count, noise_var, seed=seed)
         assert np.array_equal(snaps.betas, betas)
         assert np.abs(spectra(snaps) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_warns_about_aliasing_once_per_call(self, pulse_wave):
+        paths = [PathParam(-10.0, 1.0), PathParam(20.0, 2.0), PathParam(40.0, 3.0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            synthesize(pulse_wave, paths, ArrayConfig(8, 0.6), FadingModel.rayleigh(), 2)
+        assert ["alias" in str(w.message) for w in caught] == [True]
+
+    def test_checks_the_array_and_the_fading_model_once(self, pulse_wave, monkeypatch):
+        calls = []
+        for cls in (ArrayConfig, FadingModel):
+            def counted(self, check=cls.validate):
+                calls.append(type(self).__name__)
+                check(self)
+            monkeypatch.setattr(cls, "validate", counted)
+        paths = [PathParam(-10.0, 1.0), PathParam(20.0, 2.0), PathParam(40.0, 3.0)]
+        synthesize(pulse_wave, paths, ArrayConfig(8, 0.5), FadingModel.rayleigh(), 2, 0.1)
+        assert sorted(calls) == ["ArrayConfig", "FadingModel"]
 
     @pytest.mark.parametrize("kind", sorted(ALL_FADING))
     def test_prefix_stable_for_every_fading_kind(self, pulse_wave, kind):
@@ -527,11 +554,12 @@ class TestDatasetIO:
 
     def test_rejects_non_numeric_sample(self, tmp_path):
         path = tmp_path / "bad.txt"
-        rows = ["1:0,2:0,3:0,4:0"] * 4
-        rows[3] = "1:0,2:0,abc:0.0,4:0"
-        path.write_text("JADE1 M=2 N=4 S=2 delta=0.5\n" + "\n".join(rows) + "\n")
-        with pytest.raises(ValidationError, match="snapshot 1, sensor 1"):
-            load_dataset(path)
+        for sample in ("abc", "nan", "inf", "-inf"):
+            rows = ["1:0,2:0,3:0,4:0"] * 4
+            rows[3] = f"1:0,2:0,{sample}:0.0,4:0"
+            path.write_text("JADE1 M=2 N=4 S=2 delta=0.5\n" + "\n".join(rows) + "\n")
+            with pytest.raises(ValidationError, match="sample at snapshot 1, sensor 1"):
+                load_dataset(path)
 
     def test_rejects_truncated_file(self, pulse_wave, tmp_path):
         snaps = one_path_snaps(pulse_wave, sensors=3, snapshots=2)

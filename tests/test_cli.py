@@ -165,10 +165,11 @@ class TestSimulateEstimate:
         data = tmp_path / "snaps.txt"
         main(["simulate", *SMALL, "--set", "snapshots=2", "--out", str(data)])
         header, first, rest = data.read_text().split("\n", 2)
-        data.write_text("\n".join([header, "abc:0.0" + first[first.index(","):], rest]))
-        capsys.readouterr()
-        assert main(["estimate", *SMALL, "--data", str(data)]) == 2
-        assert "snapshot 0, sensor 0" in capsys.readouterr().err
+        for sample, error in [("abc", "non-numeric"), ("nan", "non-finite"), ("inf", "non-finite")]:
+            data.write_text("\n".join([header, f"{sample}:0.0" + first[first.index(","):], rest]))
+            capsys.readouterr()
+            assert main(["estimate", *SMALL, "--data", str(data)]) == 2
+            assert capsys.readouterr().err == f"error: {error} sample at snapshot 0, sensor 0\n"
 
 
 class TestRunCommand:
@@ -328,6 +329,18 @@ def test_aliasing_warning_is_printed_once(command):
     assert sum("exceeds 0.5" in line for line in out.stderr.splitlines()) == 1
 
 
+def test_aliasing_warning_is_printed_once_whatever_the_filter():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "jade.cli", "run", *SMALL, "--set", "spacing=0.6",
+         "--set", "angles_deg=-10,20,40", "--set", "delays=1,2,3"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "always"},
+    )
+    assert out.returncode == 0
+    assert sum("exceeds 0.5" in line for line in out.stderr.splitlines()) == 1
+
+
 class TestMonteCarloCommand:
     def test_writes_aggregates(self, tmp_path):
         code = main(["montecarlo", *SMALL, "--trials", "3", "--out", str(tmp_path)])
@@ -475,6 +488,13 @@ class TestExitCodes:
         assert main([*command, str(missing)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(missing) in err
+
+    @pytest.mark.parametrize("command", [["run", "--config"], ["estimate", "--data"]])
+    def test_input_file_that_is_not_text_is_2(self, tmp_path, capsys, command):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe = \x80\n")
+        assert main([*command, str(binary)]) == 2
+        assert capsys.readouterr().err == f"error: {binary} is not UTF-8 text\n"
 
     @pytest.mark.parametrize("command", [["run"], ["simulate"], ["pulse"]])
     def test_odd_symbol_count_is_2(self, tmp_path, capsys, command):
