@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import ValidationError, open_text
-from .pulse import SampledWaveform, _omega_grid
+from .pulse import SampledWaveform, Spectrum, spectrum
 
 __all__ = [
     "ArrayConfig",
@@ -229,10 +229,9 @@ def steering_vector(arr: ArrayConfig, angle_deg: float | Sequence[float]) -> np.
     return np.exp(2j * np.pi * arr.spacing * k * sin_theta[..., None])
 
 
-def delayed_pulse_spectrum(pulse_values: np.ndarray, delays: Sequence[float]) -> np.ndarray:
-    """(N, L) spectra of the pulse circularly delayed by each of L ``delays``, from one FFT."""
-    omega = _omega_grid(len(pulse_values))
-    return np.fft.fft(pulse_values)[:, None] * np.exp(-1j * omega[:, None] * delays)
+def delayed_pulse_spectrum(spec: Spectrum, delays: Sequence[float]) -> np.ndarray:
+    """(N, L) spectra of the pulse of ``spec`` circularly delayed by each of L ``delays``."""
+    return spec.values[:, None] * np.exp(-1j * spec.omega[:, None] * delays)
 
 
 def synthesize(
@@ -279,7 +278,7 @@ def synthesize(
 
     m = arr.num_sensors
     # fixed across snapshots; steering_vector checks the array and draw the fading model
-    delayed = delayed_pulse_spectrum(pulse.values, [p.delay for p in paths])
+    delayed = delayed_pulse_spectrum(spectrum(pulse), [p.delay for p in paths])
     steering = steering_vector(arr, [p.angle_deg for p in paths])
 
     betas = fading.draw(np.random.default_rng([seed, 0]), (num_snapshots, len(paths)))

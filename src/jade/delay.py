@@ -84,6 +84,8 @@ def fit_delay(
     beams: np.ndarray,
     g_spec: Spectrum,
     band: range,
+    # Inert: perfbench's replay still passes it by position; delete it once the
+    # replay traces run_pipeline instead (ROADMAP item 1).
     weighted: bool = False,
 ) -> DelayEstimate:
     """Fit the in-band residual phase slope per snapshot and path.
@@ -91,10 +93,12 @@ def fit_delay(
     The (snapshot, path, bin) ``beams`` of :func:`beamform` are deconvolved
     by the known pulse spectrum (which removes the pulse phase without a
     second unwrapping pass), the residual phase is unwrapped across the
-    band, and an ordinary (or |g|^2-weighted) least-squares line in omega
-    gives the delay as minus the slope. Aggregates over snapshots are the
-    median (robust to deep fades) and the mean.
+    band, and an ordinary least-squares line in omega gives the delay as
+    minus the slope. Aggregates over snapshots are the median (robust to
+    deep fades) and the mean.
     """
+    if weighted:
+        raise ValidationError("the |g|^2-weighted delay fit was removed; weighted must be False")
     bins = _band_slice(band, len(g_spec), min_bins=3)
     g_band = g_spec.values[bins]
     if np.any(g_band == 0):
@@ -104,14 +108,9 @@ def fit_delay(
     residual = beams[:, :, bins] * (np.conj(g_band) / np.abs(g_band) ** 2)
     phase = unwrap_phase(np.angle(residual), axis=-1)
 
-    if weighted:
-        w = np.abs(g_band) ** 2
-        w = w / w.sum()
-    else:
-        w = np.full(len(omega), 1.0 / len(omega))
-
-    # Weighted least squares of phase against omega, vectorized over
-    # (snapshot, path).
+    # Least squares of phase against omega, vectorized over (snapshot, path); the
+    # means are dot products with uniform w, whose rounding the reports depend on.
+    w = np.full(len(omega), 1.0 / len(omega))
     x_mean = np.dot(w, omega)
     x_centered = omega - x_mean
     x_var = np.dot(w, x_centered**2)

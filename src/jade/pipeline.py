@@ -64,8 +64,10 @@ class ScenarioConfig:
     noise_var: float
     band_threshold: float
     prediction_order: Optional[int]
-    weighted_fit: bool
     seed: int
+    # Not a field: perfbench's replay still passes it to fit_delay; delete it
+    # once the replay traces run_pipeline instead (ROADMAP item 1).
+    weighted_fit = False
 
     @property
     def prony(self) -> PronyConfig:
@@ -103,13 +105,9 @@ def _expect(what: str, convert):
     def parse(key: str, value):
         try:
             return convert(value)
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"{key}: expected {what}, got {value!r}") from exc
     return parse
-
-
-_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
-          **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def _floats(value) -> List[float]:
@@ -132,7 +130,6 @@ def _schema(key: str, value) -> int:
 
 _INT = _expect("an integer", int)
 _FLOAT = _expect("a number", float)
-_BOOL = _expect("a boolean", lambda v: v if isinstance(v, bool) else _BOOLS[str(v).strip().lower()])
 # PulseConfig.validate rejects digits other than 0 and 1
 _BITS = _expect("a 0/1 string", lambda v: [int(ch) for ch in str(v).strip()])
 _FLOATS = _expect("comma-separated numbers", _floats)
@@ -166,7 +163,6 @@ CONFIG_KEYS = {
     "snapshots": _Key(_INT, 200, lambda c: c.num_snapshots, estimate=True),
     "noise_var": _Key(_FLOAT, 0.0, lambda c: c.noise_var),
     "band_threshold": _Key(_FLOAT, 0.1, lambda c: c.band_threshold, estimate=True),
-    "weighted_fit": _Key(_BOOL, False, lambda c: c.weighted_fit, estimate=True),
     "seed": _Key(_INT, 1, lambda c: c.seed, estimate=True),
     "bits": _Key(_BITS, None, lambda c: None if c.pulse.bits is None
                  else "".join(str(int(b)) for b in np.asarray(c.pulse.bits)), estimate=True),
@@ -217,7 +213,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         noise_var=v["noise_var"],
         band_threshold=v["band_threshold"],
         prediction_order=v["prediction_order"],
-        weighted_fit=v["weighted_fit"],
         seed=v["seed"],
     )
 
@@ -326,7 +321,7 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
     corr = _stage("correlation", estimate_correlation, snaps, band)
     modes = _stage("prony", svd_prony, corr, cfg.prony)
     beams = _stage("beamform", beamform, snaps, modes.sines)
-    delays = _stage("fit_delay", fit_delay, beams, pulse_spec, band, cfg.weighted_fit)
+    delays = _stage("fit_delay", fit_delay, beams, pulse_spec, band)
     echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
                 snapshots=snaps.num_snapshots)
     return RunReport(

@@ -9,11 +9,13 @@ from jade import (
     ArrayConfig,
     FadingModel,
     PathParam,
+    SampledWaveform,
     ValidationError,
     default_scenario,
     generate_pulse,
     load_dataset,
     save_dataset,
+    spectrum,
     steering_vector,
     synthesize,
 )
@@ -155,7 +157,7 @@ class TestSynthesize:
         n, m = len(pulse_wave), arr.num_sensors
         # (N, L) delayed pulses and (M, L) steering matrix
         delayed = np.fft.ifft(
-            delayed_pulse_spectrum(pulse_wave.values, [p.delay for p in paths]), axis=0
+            delayed_pulse_spectrum(spectrum(pulse_wave), [p.delay for p in paths]), axis=0
         )
         steering = steering_vector(arr, [p.angle_deg for p in paths]).T
         z = np.random.default_rng([seed, 0]).standard_normal((count, len(paths), 4))
@@ -378,6 +380,10 @@ class TestSynthesize:
             synthesize(pulse_wave, [PathParam(0.0, 100.0)], arr, fading, 1)
         with pytest.raises(ValidationError):
             synthesize(pulse_wave, [PathParam(95.0, 0.0)], arr, fading, 1)
+        # the delayed spectra come from spectrum(), which needs two samples
+        one_sample = SampledWaveform(t=[0.0], values=[1.0])
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            synthesize(one_sample, [PathParam(0.0, 0.0)], arr, fading, 1)
 
 
 class TestNumBins:

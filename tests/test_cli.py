@@ -373,8 +373,15 @@ class TestExitCodes:
         assert main(["run", "--set", "rolloff=2.0"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_key_is_2(self, capsys):
-        assert main(["run", "--set", "bogus=1"]) == 2
+    def test_unknown_key_is_2(self, tmp_path, capsys):
+        # weighted_fit is a removed key: even its one formerly used value is unknown
+        for key, value in (("bogus", "1"), ("weighted_fit", "true"), ("weighted_fit", "false")):
+            assert main(["run", "--set", f"{key}={value}"]) == 2
+            assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("sensors = 8\nweighted_fit = false\n")
+        assert main(["run", "--snapshots", "5", "--config", str(cfg)]) == 2
+        assert "unknown config keys: ['weighted_fit']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "setting",

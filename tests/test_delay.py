@@ -161,12 +161,14 @@ class TestFitDelay:
             slopes.append(fit_delay(bf, spec, band).slope[0, 0])
         assert slopes[1] - slopes[0] == pytest.approx(-0.75, abs=1e-9)
 
-    def test_weighted_fit_matches_on_exact_data(self, keyed_pulse):
+    def test_weighted_fit_is_rejected(self, keyed_pulse):
+        # the |g|^2-weighted fit is gone; the parameter stays only as an inert slot
         spec, band = self.band_and_spec(keyed_pulse)
         bf = self.synthetic_bf(spec, lambda w: np.exp(-1j * w * 5.5))
-        plain = fit_delay(bf, spec, band, weighted=False)
-        weighted = fit_delay(bf, spec, band, weighted=True)
-        assert abs(plain.slope[0, 0] - weighted.slope[0, 0]) < 1e-9
+        with pytest.raises(ValidationError, match="weighted"):
+            fit_delay(bf, spec, band, weighted=True)
+        assert np.array_equal(fit_delay(bf, spec, band, False).slope,
+                              fit_delay(bf, spec, band).slope)
 
     def test_fading_mean_slope_converges(self, keyed_pulse):
         # per-snapshot fits under Rayleigh fading: the mean slope tends to

@@ -114,6 +114,20 @@ class TestRunPipeline:
         assert report.artifacts is None
         assert held < 10_000
 
+    def test_peak_memory_is_near_one_snapshot_set(self):
+        # a run holds the half set (bins 0..N/2) and little beside it; the
+        # default's 65 x 200 x 64 complex bins are 13.31 MB
+        cfg = default_scenario()
+        half_set = 16 * (cfg.pulse.num_samples // 2 + 1) * cfg.num_snapshots * cfg.array.num_sensors
+        run_pipeline(cfg)  # warm up
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * half_set
+
     def test_leaves_numpy_ma_unimported(self):
         # np.median imports numpy.ma, which then stays resident (about 1.2 MB);
         # numpy < 2 imports numpy.ma with numpy itself, so there is nothing to save
@@ -275,7 +289,7 @@ class TestConfigHandling:
             "oversample": 4, "bits_seed": 1, "sensors": 64, "spacing": 0.5,
             "angles_deg": [-10.0, 20.0], "delays": [3.0, 7.0], "fading": "rayleigh",
             "sigma": 1.0, "snapshots": 200, "noise_var": 0.0, "band_threshold": 0.1,
-            "weighted_fit": False, "seed": 1,
+            "seed": 1,
         }
         assert default_scenario().resolved().prony == PronyConfig(num_modes=2)
 

@@ -56,7 +56,6 @@ def scenario_keys(draw):
         "snapshots": draw(st.integers(1, 10_000)),
         "noise_var": draw(finite(0.0, 1e4)),
         "band_threshold": draw(finite(0.0, 1.0, exclude_max=True)),
-        "weighted_fit": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**32)),
         # bits, a bits seed or neither: a seed beside the bits is rejected
         **draw(st.one_of(st.just({}),
