@@ -360,12 +360,13 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
     cfg = cfg.resolved()
     started = time.perf_counter()
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
-    return _run(cfg, pulse_wave, started, keep_artifacts)
+    return replace(_run(cfg, pulse_wave, started, keep_artifacts), config=cfg.to_dict())
 
 
 def _run(cfg: ScenarioConfig, pulse_wave: SampledWaveform, started: float,
          keep_artifacts: bool = False) -> RunReport:
-    """:func:`run_pipeline` after the pulse: ``cfg`` is resolved and transmits ``pulse_wave``."""
+    """:func:`run_pipeline` after the pulse, with :func:`estimate`'s echo: ``cfg`` is resolved
+    and transmits ``pulse_wave``."""
     snaps = _stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array, cfg.fading,
                    cfg.num_snapshots, cfg.noise_var, cfg.seed, half=True)
     report = estimate(snaps, pulse_wave, cfg)
@@ -376,7 +377,6 @@ def _run(cfg: ScenarioConfig, pulse_wave: SampledWaveform, started: float,
     delays_true = [cfg.paths[i].delay for i in order]
     return replace(
         report,
-        config=cfg.to_dict(),
         angles_true_deg=angles_true,
         delays_true=delays_true,
         angle_errors_deg=(np.asarray(report.angles_est_deg) - angles_true).tolist(),

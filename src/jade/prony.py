@@ -14,7 +14,6 @@ the unit circle flags the fit instead.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -127,15 +126,7 @@ def svd_prony(corr: CorrelationSequence, cfg: PronyConfig) -> ModeEstimate:
         damping = np.abs(np.log(np.abs(roots))).max()
     overshoot = np.abs(sines) - 1.0
     clamped = bool(np.any(overshoot > 0))
-    problems = []
-    if damping > _DAMPING_TOL:
-        problems.append(f"a mode has |log|z|| = {damping:.3e} > {_DAMPING_TOL} "
-                        "(off the unit circle: noise, or a path count the data does not hold)")
-    if np.any(overshoot > _CLAMP_TOL):
-        problems.append(f"|sin(angle)| overshoots 1 by up to {overshoot.max():.3e} "
-                        "(spatial aliasing or failed fit)")
-    for problem in problems:
-        warnings.warn(f"{problem}; estimate flagged invalid", stacklevel=2)
+    valid = not (damping > _DAMPING_TOL or np.any(overshoot > _CLAMP_TOL))
     sines_c = np.clip(sines, -1.0, 1.0)
     angles_deg = np.degrees(np.arcsin(sines_c))
 
@@ -149,5 +140,5 @@ def svd_prony(corr: CorrelationSequence, cfg: PronyConfig) -> ModeEstimate:
         roots=roots,
         singular_values=sing,
         clamped=clamped,
-        valid=not problems,
+        valid=valid,
     )

@@ -380,6 +380,8 @@ class TestSynthesize:
             synthesize(pulse_wave, [PathParam(0.0, 100.0)], arr, fading, 1)
         with pytest.raises(ValidationError):
             synthesize(pulse_wave, [PathParam(95.0, 0.0)], arr, fading, 1)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            synthesize(pulse_wave, [PathParam(0.0, 0.0)], arr, fading, 1, seed=-1)
         # the delayed spectra come from spectrum(), which needs two samples
         one_sample = SampledWaveform(t=[0.0], values=[1.0])
         with pytest.raises(ValidationError, match="at least 2 samples"):
@@ -454,8 +456,9 @@ class TestFadingModel:
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        b = FadingModel.deterministic(0.5 - 0.25j).draw(rng, 10)
-        assert np.all(b == 0.5 - 0.25j)
+        fm = FadingModel.deterministic(0.5 - 0.25j)
+        assert np.all(fm.draw(rng, 10) == 0.5 - 0.25j)
+        assert fm.mean_square() == pytest.approx(0.3125)
 
     @pytest.mark.parametrize("kind", sorted(RANDOM_FADING))
     def test_snapshot_path_draw_moments(self, kind):

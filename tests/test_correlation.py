@@ -301,3 +301,6 @@ class TestEstimateCorrelation:
             CorrelationSequence(values=np.array([-1.0, 0.5]), spacing=0.5)
         with pytest.raises(ValidationError):
             CorrelationSequence(values=np.array([1.0 + 0.5j, 0.5]), spacing=0.5)
+        for values in (np.ones((2, 2)), np.array([1.0])):
+            with pytest.raises(ValidationError, match=">= 2 lags"):
+                CorrelationSequence(values=values, spacing=0.5)

@@ -17,6 +17,7 @@ from jade import (
     PathParam,
     PronyConfig,
     PulseConfig,
+    ScenarioConfig,
     ValidationError,
     default_scenario,
     generate_pulse,
@@ -275,6 +276,23 @@ class TestMonteCarlo:
         monkeypatch.setattr("jade.pipeline.generate_pulse", counting)
         monte_carlo(small_scenario(num_snapshots=5), trials=10)
         assert calls["n"] == 1
+
+    def test_config_echo_is_built_once_per_trial(self, monkeypatch):
+        # estimate builds each trial's echo; run_pipeline and monte_carlo add the full one
+        calls = {"n": 0}
+        real_to_dict = ScenarioConfig.to_dict
+
+        def counting(cfg):
+            calls["n"] += 1
+            return real_to_dict(cfg)
+
+        monkeypatch.setattr(ScenarioConfig, "to_dict", counting)
+        cfg = small_scenario(num_snapshots=5)
+        run_pipeline(cfg)
+        assert calls["n"] == 2
+        calls["n"] = 0
+        monte_carlo(cfg, trials=10)
+        assert calls["n"] == 11
 
     def test_rejects_bad_trial_count(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from jade import (
     PronyConfig,
     ValidationError,
     estimate_correlation,
+    monte_carlo,
+    scenario_from_dict,
     select_band,
     svd_prony,
     synthesize,
@@ -41,15 +45,13 @@ class TestValidityRule:
         lags = np.arange(32)
         values = np.exp(0.5j * lags) + 0.5 * (0.9**lags + 0.9**-lags) * np.exp(1.2j * lags)
         corr = CorrelationSequence(values=values, spacing=0.5)
-        with pytest.warns(UserWarning, match="unit circle"):
-            est = svd_prony(corr, PronyConfig(num_modes=3))
+        est = svd_prony(corr, PronyConfig(num_modes=3))
         assert not est.valid
         assert np.abs(np.sort(np.abs(est.roots)) - [0.9, 1.0, 1 / 0.9]).max() < 1e-10
 
     def test_too_few_modes_flag_invalid(self):
         corr = sequence_from_modes([0.5, 1.2], [1.0, 1.0], num_lags=32)
-        with pytest.warns(UserWarning, match="unit circle"):
-            assert not svd_prony(corr, PronyConfig(num_modes=1)).valid
+        assert not svd_prony(corr, PronyConfig(num_modes=1)).valid
 
     def test_exact_data_stays_valid(self, recwarn):
         corr = sequence_from_modes([-0.7, 0.4, 1.3], [1.0, 0.8, 1.5], num_lags=24)
@@ -57,6 +59,15 @@ class TestValidityRule:
         assert est.valid and not est.clamped
         assert np.abs(np.abs(est.roots) - 1.0).max() < 1e-10
         assert len(recwarn) == 0
+
+    def test_flagged_trials_issue_no_warning(self):
+        # below the SNR threshold nearly every fit is flagged; the verdict is in the report only
+        cfg = scenario_from_dict({"sensors": 16, "snapshots": 50, "noise_var": 100})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mc = monte_carlo(cfg, trials=20)
+        assert caught == []
+        assert any(not trial["estimate_valid"] for trial in mc.trials)
 
     def test_all_zero_sequence_raises(self):
         corr = CorrelationSequence(values=np.zeros(8), spacing=0.5)
@@ -138,12 +149,11 @@ class TestSvdProny:
             two_sided = corr.two_sided()
             assert np.array_equal(np.conj(two_sided[::-1]), two_sided)
 
-    def test_aliasing_overshoot_warns_and_flags(self):
+    def test_aliasing_overshoot_flags(self):
         # spacing 0.4 maps a 3.0 rad increment to |sin| = 1.19 > 1
         lags = np.arange(24)
         corr = CorrelationSequence(values=np.exp(3.0j * lags), spacing=0.4)
-        with pytest.warns(UserWarning, match="overshoot"):
-            est = svd_prony(corr, PronyConfig(num_modes=1))
+        est = svd_prony(corr, PronyConfig(num_modes=1))
         assert not est.valid
         assert est.clamped
         assert abs(est.sines[0]) <= 1.0

@@ -194,6 +194,21 @@ class TestSpectrum:
         with pytest.raises(ValidationError):
             spectrum(SampledWaveform(t=np.array([0.0]), values=np.array([1.0])))
 
+    @pytest.mark.parametrize(
+        "t, values, match",
+        [
+            ([0.0, 1.0, 2.0], [1.0, 2.0], "equal length"),
+            ([0.0, 1.0, 3.0], [1.0, 2.0, 3.0], "uniform"),
+            ([0.0, 1.0, 2.0], [1.0, np.nan, 3.0], "non-finite"),
+        ],
+        ids=["shape", "grid", "nan"],
+    )
+    def test_waveform_rejects(self, t, values, match):
+        from jade import SampledWaveform
+
+        with pytest.raises(ValidationError, match=match):
+            SampledWaveform(t=t, values=values)
+
 
 class TestUnwrapPhase:
     def test_single_wrap_event(self):
