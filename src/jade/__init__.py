@@ -3,7 +3,8 @@
 Synthesizes snapshots of a known keyed raised-cosine pulse arriving at a
 uniform linear array over several randomly faded paths, then estimates
 each path's angle of arrival (spatial-lag correlation + matrix pencil,
-Hua & Sarkar 1990) and time delay (beamforming + phase-slope line fit).
+Hua & Sarkar 1990) and time delay (beamforming + a delay periodogram over
+all snapshots, the delay half of RELAX, Li & Stoica 1996).
 """
 
 __version__ = "0.1.0"

@@ -89,16 +89,11 @@ def _dump_roots(modes, out_dir: Path) -> None:
                zip(roots.real, roots.imag, np.abs(roots)))
 
 
-def _dump_fit(delays, pulse_spec, out_dir: Path) -> None:
-    # One CSV per path: unwrapped residual phase of snapshot 0 against the fitted line.
-    omega = pulse_spec.omega[delays.band]
-    for i in range(delays.slope.shape[1]):
-        line = delays.slope[0, i] * omega + delays.intercept[0, i]
-        _write_csv(
-            out_dir / f"fit_path{i + 1}.csv",
-            ["omega", "phase_residual", "fitted_line"],
-            zip(omega, delays.phase[0, i], line),
-        )
+def _dump_fit(delays, out_dir: Path) -> None:
+    # One CSV per path: its delay periodogram on the coarse search grid.
+    for i, objective in enumerate(delays.objective):
+        _write_csv(out_dir / f"fit_path{i + 1}.csv", ["tau", "objective"],
+                   zip(delays.tau_grid, objective))
 
 
 def _write_dumps(args, art) -> None:
@@ -107,7 +102,7 @@ def _write_dumps(args, art) -> None:
     if args.dump_roots:
         _dump_roots(art.modes, args.out)
     if args.dump_fit:
-        _dump_fit(art.delays, art.pulse_spec, args.out)
+        _dump_fit(art.delays, args.out)
 
 
 def _emit(args, text: str, filename: str) -> None:

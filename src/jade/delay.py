@@ -1,13 +1,15 @@
-"""Per-path beamforming and phase-slope delay estimation.
+"""Per-path beamforming and maximum-likelihood delay estimation.
 
 Steering the array at an estimated angle isolates that path's spectrum up
 to the fading coefficient and a small leakage term from the other paths.
-Dividing out the known pulse spectrum leaves a residual whose phase is a
-straight line in frequency with slope equal to minus the delay; the
-constant fading phase lands in the intercept. Each snapshot is fitted
-independently and the per-snapshot delays are aggregated afterwards,
-because averaging the beamformer output across fading snapshots first
-would cancel the signal (the fading coefficients have zero mean).
+Matched-filtering that beam by the known pulse spectrum and phase-aligning
+it at a trial delay tau gives one sum per snapshot; the powers of those
+sums, added over the snapshots, form the delay periodogram J(tau), whose
+maximum is the path's delay. This is the delay half of Li & Stoica's RELAX
+(IEEE TSP 1996) and of Vanderveen, Papadias & Paulraj's JADE (IEEE Commun.
+Lett. 1997). Powers are added rather than beams, because averaging the
+beams across fading snapshots would cancel the signal (the fading
+coefficients have zero mean).
 """
 
 from __future__ import annotations
@@ -18,47 +20,34 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import ValidationError
-from .pulse import Spectrum, unwrap_phase
+from .pulse import Spectrum
 from .channel import SnapshotSet
 from .correlation import _band_slice
 
 __all__ = ["DelayEstimate", "beamform", "fit_delay"]
 
-# Below this coefficient of determination a per-snapshot line fit is
-# considered unreliable and flagged.
-RSQ_RELIABLE = 0.5
-
-
-def median0(x: np.ndarray) -> np.ndarray:
-    """``np.median(x, axis=0)`` bit for bit, NaN included, without importing ``numpy.ma``.
-
-    ``np.median``'s NaN check imports ``numpy.ma``, which stays resident.
-    """
-    n = len(x)
-    part = np.partition(x, [(n - 1) // 2, n // 2, -1], axis=0)
-    mid = np.mean(part[(n - 1) // 2:n // 2 + 1], axis=0)
-    return np.where(np.isnan(part[-1]), part[-1], mid)
+# The coarse search evaluates J every 1/GRID_FACTOR samples; NEWTON_STEPS
+# steps then refine its peak.
+GRID_FACTOR = 2
+NEWTON_STEPS = 3
 
 
 @dataclass
 class DelayEstimate:
-    """Per-snapshot phase-slope delay fits and their aggregates.
+    """One delay per path from its delay periodogram.
 
-    The per-snapshot delay is ``-slope``; ``intercept`` absorbs the
-    per-snapshot fading phase (modulo 2*pi). ``phase`` is the unwrapped
-    in-band residual phase the lines were fitted to, shaped (snapshot,
-    path, bin). ``reliable`` marks fits whose r-squared reaches
-    :data:`RSQ_RELIABLE`.
+    ``delay_median`` holds the delays, under the name the benchmark reads.
+    ``reliable`` is False for a path whose Newton refinement met a
+    non-concave J or left the coarse peak by more than one grid step; its
+    delay is then the coarse peak. ``objective`` is each path's J on the
+    coarse grid ``tau_grid`` (samples, ascending, one period [-N/2, N/2)),
+    shaped (path, grid point).
     """
 
     delay_median: np.ndarray
-    delay_mean: np.ndarray
-    slope: np.ndarray
-    intercept: np.ndarray
-    rsq: np.ndarray
-    band: range
     reliable: np.ndarray
-    phase: np.ndarray
+    tau_grid: np.ndarray
+    objective: np.ndarray
 
 
 def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> np.ndarray:
@@ -88,14 +77,13 @@ def fit_delay(
     # replay traces run_pipeline instead (ROADMAP item 1).
     weighted: bool = False,
 ) -> DelayEstimate:
-    """Fit the in-band residual phase slope per snapshot and path.
+    """Maximise each path's delay periodogram over all snapshots at once.
 
-    The (snapshot, path, bin) ``beams`` of :func:`beamform` are deconvolved
-    by the known pulse spectrum (which removes the pulse phase without a
-    second unwrapping pass), the residual phase is unwrapped across the
-    band, and an ordinary least-squares line in omega gives the delay as
-    minus the slope. Aggregates over snapshots are the median (robust to
-    deep fades) and the mean.
+    Each band bin of the (snapshot, path, bin) ``beams`` of :func:`beamform`
+    is matched-filtered by the pulse, h_sq = z_sq * conj(g_q), and
+    J(tau) = sum_s |sum_q h_sq * exp(j*omega_q*tau)|^2 is searched on a grid
+    of 1/:data:`GRID_FACTOR` samples, then refined by :data:`NEWTON_STEPS`
+    Newton steps. Only the band's bins are read.
     """
     if weighted:
         raise ValidationError("the |g|^2-weighted delay fit was removed; weighted must be False")
@@ -104,36 +92,34 @@ def fit_delay(
     if np.any(g_band == 0):
         raise ValidationError("pulse spectrum vanishes inside the band")
 
-    omega = g_spec.omega[bins]
-    residual = beams[:, :, bins] * (np.conj(g_band) / np.abs(g_band) ** 2)
-    phase = unwrap_phase(np.angle(residual), axis=-1)
+    n, b = len(g_spec), bins.stop - bins.start
+    h = beams[:, :, bins] * np.conj(g_band)
+    # Frequency-lag sums c(D) = sum_s sum_q h_s,q+D * conj(h_sq), D = 0..B-1, from
+    # autocorrelations padded to 2B against wrap-around.
+    h_fft = np.fft.fft(h, 2 * b)
+    lag_sums = np.fft.ifft(np.sum(h_fft.real**2 + h_fft.imag**2, axis=0))[:, :b]
+    # The band's bins are 2*pi/N apart and c(-D) = conj(c(D)), so
+    # J(tau) = Re sum_D coef_D * exp(j*lag_omega_D*tau) over D = 0..B-1.
+    coef = np.concatenate([lag_sums[:, :1], 2 * lag_sums[:, 1:]], axis=1)
+    lag_omega = 2 * np.pi / n * np.arange(b)
 
-    # Least squares of phase against omega, vectorized over (snapshot, path); the
-    # means are dot products with uniform w, whose rounding the reports depend on.
-    w = np.full(len(omega), 1.0 / len(omega))
-    x_mean = np.dot(w, omega)
-    x_centered = omega - x_mean
-    x_var = np.dot(w, x_centered**2)
-    y_mean = phase @ w
-    y_centered = phase - y_mean[..., None]
-    slope = (y_centered * x_centered) @ w / x_var
-    intercept = y_mean - slope * x_mean
+    k = GRID_FACTOR * n
+    objective = np.fft.fftshift(k * np.fft.ifft(coef, k).real, axes=-1)
+    tau_grid = (np.arange(k) - k // 2) / GRID_FACTOR
+    coarse = tau_grid[np.argmax(objective, axis=1)]
 
-    fitted = slope[..., None] * omega + intercept[..., None]
-    ss_res = ((phase - fitted) ** 2) @ w
-    ss_tot = (y_centered**2) @ w
-    # A perfectly flat phase (zero delay, exact data) has no variance to
-    # explain; treat it as a perfect fit.
-    rsq = np.where(ss_tot > 1e-30, 1.0 - ss_res / np.maximum(ss_tot, 1e-300), 1.0)
-    rsq = np.clip(rsq, 0.0, 1.0)
-
+    tau = coarse
+    concave = np.ones(len(tau), dtype=bool)
+    for _ in range(NEWTON_STEPS):
+        terms = coef * np.exp(1j * np.outer(tau, lag_omega))
+        gradient = (terms @ (1j * lag_omega)).real
+        curvature = -(terms @ lag_omega**2).real
+        concave &= curvature < 0
+        tau = tau - np.divide(gradient, curvature, out=np.zeros_like(tau), where=concave)
+    reliable = concave & (np.abs(tau - coarse) <= 1 / GRID_FACTOR)
     return DelayEstimate(
-        delay_median=median0(-slope),
-        delay_mean=np.mean(-slope, axis=0),
-        slope=slope,
-        intercept=intercept,
-        rsq=rsq,
-        band=range(bins.start, bins.stop),
-        reliable=rsq >= RSQ_RELIABLE,
-        phase=phase,
+        delay_median=np.where(reliable, tau, coarse),
+        reliable=reliable,
+        tau_grid=tau_grid,
+        objective=objective,
     )

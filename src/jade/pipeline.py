@@ -19,11 +19,11 @@ import numpy as np
 
 from . import __version__
 from .exceptions import EstimationError, JadeError, ValidationError, open_text
-from .pulse import PulseConfig, SampledWaveform, Spectrum, generate_pulse, spectrum
+from .pulse import PulseConfig, SampledWaveform, generate_pulse, spectrum
 from .channel import ArrayConfig, FadingModel, PathParam, SnapshotSet, synthesize
 from .correlation import CorrelationSequence, estimate_correlation, select_band
 from .prony import ModeEstimate, PronyConfig, svd_prony
-from .delay import DelayEstimate, beamform, fit_delay, median0
+from .delay import DelayEstimate, beamform, fit_delay
 
 __all__ = [
     "ScenarioConfig",
@@ -39,14 +39,13 @@ __all__ = [
 ]
 
 CONFIG_SCHEMA = 1
-REPORT_SCHEMA = "jade-report/1"
+REPORT_SCHEMA = "jade-report/2"
 
 
 @dataclass
 class PipelineArtifacts:
     """Stage outputs the ``--dump-*`` CSVs read; never serialized."""
 
-    pulse_spec: Spectrum
     correlation: CorrelationSequence
     modes: ModeEstimate
     delays: DelayEstimate
@@ -258,12 +257,9 @@ class RunReport:
     clamped: bool
     band_start: int
     band_stop: int
-    slope_per_snapshot: np.ndarray
     slope_median: List[float]
-    slope_mean: List[float]
     delay_median: List[float]
     delay_mean: List[float]
-    rsq_median: List[float]
     unreliable_fits: int
     angles_true_deg: Optional[List[float]] = None
     delays_true: Optional[List[float]] = None
@@ -280,12 +276,11 @@ class RunReport:
             "sines_est", "angles_est_deg", "amplitudes", "singular_values",
             "estimate_valid", "clamped", "band_start", "band_stop",
             "angles_true_deg", "delays_true", "angle_errors_deg", "delay_errors",
-            "slope_median", "slope_mean", "delay_median", "delay_mean",
-            "rsq_median", "unreliable_fits", "slope_per_snapshot",
+            "slope_median", "delay_median", "delay_mean", "unreliable_fits",
         ):
             value = getattr(self, key)
             if value is not None:
-                out[key] = value.tolist() if isinstance(value, np.ndarray) else value
+                out[key] = value
         if include_timing:
             out["timing_s"] = self.timing_s
         return out
@@ -307,7 +302,7 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
     """Estimate angles and delays from ``snaps`` for the known pulse ``pulse_wave``.
 
     Stages: pulse spectrum, band selection, spatial correlation, matrix
-    pencil (angles), beamforming, phase slope fit (delays). ``cfg`` must be
+    pencil (angles), beamforming, delay periodogram (delays). ``cfg`` must be
     resolved; only its estimation settings are read, and only those (the
     :data:`CONFIG_KEYS` marked ``estimate``, with the array and snapshot
     count of ``snaps``) are echoed. A setting a stage rejects raises its
@@ -335,16 +330,13 @@ def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfi
         clamped=bool(modes.clamped),
         band_start=band[0],
         band_stop=band[-1],
-        slope_per_snapshot=delays.slope,
-        # negation is exact, so these equal the median and mean of the slopes bit for bit
         slope_median=(-delays.delay_median).tolist(),
-        slope_mean=(-delays.delay_mean).tolist(),
+        # the benchmark still reads both names of the one delay per path
         delay_median=delays.delay_median.tolist(),
-        delay_mean=delays.delay_mean.tolist(),
-        rsq_median=median0(delays.rsq).tolist(),
+        delay_mean=delays.delay_median.tolist(),
         unreliable_fits=int(np.sum(~delays.reliable)),
         timing_s=time.perf_counter() - started,
-        artifacts=PipelineArtifacts(pulse_spec, corr, modes, delays),
+        artifacts=PipelineArtifacts(corr, modes, delays),
     )
 
 
@@ -393,12 +385,17 @@ def trial_seed(base_seed: int, trial: int) -> int:
 
 @dataclass
 class MonteCarloReport:
-    """Per-trial results plus bias/RMSE aggregates over successful trials."""
+    """Per-trial results plus bias/RMSE aggregates over successful trials.
+
+    ``num_flagged`` counts the successful trials whose report says
+    ``estimate_valid: false``; the aggregates still include them.
+    """
 
     config: dict
     trials: List[dict]
     num_trials: int
     num_failed: int
+    num_flagged: int
     angle_bias_deg: Optional[List[float]]
     angle_rmse_deg: Optional[List[float]]
     delay_bias: Optional[List[float]]
@@ -412,6 +409,7 @@ class MonteCarloReport:
             "config": self.config,
             "num_trials": self.num_trials,
             "num_failed": self.num_failed,
+            "num_flagged": self.num_flagged,
             "angle_bias_deg": self.angle_bias_deg,
             "angle_rmse_deg": self.angle_rmse_deg,
             "delay_bias": self.delay_bias,
@@ -439,7 +437,6 @@ def _run_trial(cfg: ScenarioConfig, pulse_wave: SampledWaveform, trial: int) -> 
             "slope_median": report.slope_median,
             "delay_median": report.delay_median,
             "delay_errors": report.delay_errors,
-            "rsq_median": report.rsq_median,
             "estimate_valid": report.estimate_valid,
         }
     )
@@ -454,8 +451,9 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
     the same known pulse and only the fading/noise realizations differ. A
     trial equals :func:`run_pipeline` on the resolved base config with the
     trial's seed. Trials that fail to estimate are reported with their error
-    and excluded from the bias/RMSE aggregates; a setting a stage rejects
-    fails the whole call.
+    and excluded from the bias/RMSE aggregates; flagged trials (``estimate_valid``
+    false) are counted and kept in them. A setting a stage rejects fails the
+    whole call.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -477,6 +475,7 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
         trials=results,
         num_trials=trials,
         num_failed=len(results) - len(ok),
+        num_flagged=sum(not r["estimate_valid"] for r in ok),
         angle_bias_deg=angle_bias,
         angle_rmse_deg=angle_rmse,
         delay_bias=delay_bias,

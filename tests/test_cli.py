@@ -102,10 +102,12 @@ class TestSimulateEstimate:
         assert header == ["re", "im", "modulus"]
         assert len(rows) == 2  # one pencil eigenvalue per path
 
-        for i in (1, 2):
+        for i, delay in enumerate(report["delay_median"], start=1):
             header, rows = read_csv(out_dir / f"fit_path{i}.csv")
-            assert header == ["omega", "phase_residual", "fitted_line"]
-            assert len(rows) >= 3
+            assert header == ["tau", "objective"]
+            assert len(rows) == 2 * 128
+            tau, objective = np.array(rows, dtype=float).T
+            assert abs(tau[np.argmax(objective)] - delay) <= 0.5
 
     def test_estimate_reads_its_array_from_the_dataset(self, tmp_path, capsys):
         data = tmp_path / "snaps.txt"
@@ -177,7 +179,7 @@ class TestRunCommand:
         assert main(["run", *SMALL]) == 0
         out = capsys.readouterr().out
         report = json.loads(out)
-        assert report["schema"] == "jade-report/1"
+        assert report["schema"] == "jade-report/2"
         assert abs(report["angles_est_deg"][0] + 10.0) < 0.1
         assert "timing_s" not in report
 
