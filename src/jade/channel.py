@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import ValidationError, open_text
-from .pulse import SampledWaveform, Spectrum, spectrum
+from .pulse import omega_grid, spectrum
 
 __all__ = [
     "ArrayConfig",
@@ -229,13 +229,13 @@ def steering_vector(arr: ArrayConfig, angle_deg: float | Sequence[float]) -> np.
     return np.exp(2j * np.pi * arr.spacing * k * sin_theta[..., None])
 
 
-def delayed_pulse_spectrum(spec: Spectrum, delays: Sequence[float]) -> np.ndarray:
-    """(N, L) spectra of the pulse of ``spec`` circularly delayed by each of L ``delays``."""
-    return spec.values[:, None] * np.exp(-1j * spec.omega[:, None] * delays)
+def delayed_pulse_spectrum(g: np.ndarray, delays: Sequence[float]) -> np.ndarray:
+    """(N, L) spectra of the pulse with DFT ``g`` circularly delayed by each of L ``delays``."""
+    return g[:, None] * np.exp(-1j * omega_grid(len(g))[:, None] * delays)
 
 
 def synthesize(
-    pulse: SampledWaveform,
+    pulse: np.ndarray,
     paths: Sequence[PathParam],
     arr: ArrayConfig,
     fading: FadingModel,
@@ -245,7 +245,7 @@ def synthesize(
     *,
     half: bool = False,
 ) -> SnapshotSet:
-    """Generate array snapshots for the given paths, fading and noise.
+    """Generate array snapshots of the pulse samples ``pulse`` for the given paths, fading, noise.
 
     Spectra are formed directly: snapshot s is G^T (A diag beta_s), with G
     the (L, N) delayed pulse spectra and A the (M, L) steering matrix.

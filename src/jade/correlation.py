@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .pulse import Spectrum
 from .channel import SnapshotSet
 
 __all__ = ["CorrelationSequence", "select_band", "estimate_correlation"]
@@ -51,8 +50,8 @@ class CorrelationSequence:
         return np.concatenate([np.conj(self.values[:0:-1]), self.values])
 
 
-def select_band(g_spec: Spectrum, band_threshold: float) -> range:
-    """Positive-frequency bins where the pulse spectrum has energy.
+def select_band(g_spec: np.ndarray, band_threshold: float) -> range:
+    """Positive-frequency bins where the pulse spectrum ``g_spec`` (its DFT) has energy.
 
     Returns the contiguous run of bins q in 1..N//2 (natural DFT order),
     grown outward from the positive-frequency magnitude peak while
@@ -63,7 +62,7 @@ def select_band(g_spec: Spectrum, band_threshold: float) -> range:
     """
     if not 0.0 <= band_threshold < 1.0:
         raise ValidationError(f"band_threshold must be in [0, 1), got {band_threshold}")
-    magnitude = g_spec.magnitude
+    magnitude = np.abs(g_spec)
     hi = len(magnitude) // 2  # the last bin with omega > 0
     level = band_threshold * magnitude.max()
     start = stop = 1 + int(np.argmax(magnitude[1 : hi + 1]))

@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import ValidationError
-from .pulse import Spectrum
 from .channel import SnapshotSet
 from .correlation import _band_slice
 
@@ -71,7 +70,7 @@ def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> np.ndarray:
 
 def fit_delay(
     beams: np.ndarray,
-    g_spec: Spectrum,
+    g_spec: np.ndarray,
     band: range,
     # Inert: perfbench's replay still passes it by position; delete it once the
     # replay traces run_pipeline instead (ROADMAP item 1).
@@ -80,15 +79,15 @@ def fit_delay(
     """Maximise each path's delay periodogram over all snapshots at once.
 
     Each band bin of the (snapshot, path, bin) ``beams`` of :func:`beamform`
-    is matched-filtered by the pulse, h_sq = z_sq * conj(g_q), and
-    J(tau) = sum_s |sum_q h_sq * exp(j*omega_q*tau)|^2 is searched on a grid
+    is matched-filtered by the pulse's DFT ``g_spec``, h_sq = z_sq * conj(g_q),
+    and J(tau) = sum_s |sum_q h_sq * exp(j*omega_q*tau)|^2 is searched on a grid
     of 1/:data:`GRID_FACTOR` samples, then refined by :data:`NEWTON_STEPS`
     Newton steps. Only the band's bins are read.
     """
     if weighted:
         raise ValidationError("the |g|^2-weighted delay fit was removed; weighted must be False")
     bins = _band_slice(band, len(g_spec), min_bins=3)
-    g_band = g_spec.values[bins]
+    g_band = g_spec[bins]
     if np.any(g_band == 0):
         raise ValidationError("pulse spectrum vanishes inside the band")
 

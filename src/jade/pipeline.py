@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .exceptions import EstimationError, JadeError, ValidationError, open_text
-from .pulse import PulseConfig, SampledWaveform, generate_pulse, spectrum
+from .pulse import PulseConfig, generate_pulse, spectrum
 from .channel import ArrayConfig, FadingModel, PathParam, SnapshotSet, synthesize
 from .correlation import CorrelationSequence, estimate_correlation, select_band
 from .prony import ModeEstimate, PronyConfig, svd_prony
@@ -62,7 +62,6 @@ class ScenarioConfig:
     num_snapshots: int
     noise_var: float
     band_threshold: float
-    prediction_order: Optional[int]
     seed: int
     # Not a field: perfbench's replay still passes it to fit_delay; delete it
     # once the replay traces run_pipeline instead (ROADMAP item 1).
@@ -71,7 +70,7 @@ class ScenarioConfig:
     @property
     def prony(self) -> PronyConfig:
         """The matrix-pencil settings: one mode per path."""
-        return PronyConfig(len(self.paths), self.prediction_order)
+        return PronyConfig(len(self.paths))
 
     def resolved(self) -> "ScenarioConfig":
         """Draw absent pulse bits from the scenario seed.
@@ -174,7 +173,6 @@ CONFIG_KEYS = {
     "nu": _Key(_FLOAT, 0.0, lambda c: c.fading.nu, ("rician",)),
     "mean_db": _Key(_FLOAT, 0.0, lambda c: c.fading.mean_db, ("suzuki",)),
     "std_db": _Key(_FLOAT, 6.0, lambda c: c.fading.std_db, ("suzuki",)),
-    "prediction_order": _Key(_INT, None, lambda c: c.prediction_order, estimate=True),
 }
 
 
@@ -211,7 +209,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         num_snapshots=v["snapshots"],
         noise_var=v["noise_var"],
         band_threshold=v["band_threshold"],
-        prediction_order=v["prediction_order"],
         seed=v["seed"],
     )
 
@@ -298,8 +295,8 @@ def _stage(name: str, fn, *args, **kwargs):
         raise EstimationError(name, str(exc)) from exc
 
 
-def estimate(snaps: SnapshotSet, pulse_wave: SampledWaveform, cfg: ScenarioConfig) -> RunReport:
-    """Estimate angles and delays from ``snaps`` for the known pulse ``pulse_wave``.
+def estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) -> RunReport:
+    """Estimate angles and delays from ``snaps`` for the known pulse samples ``pulse_wave``.
 
     Stages: pulse spectrum, band selection, spatial correlation, matrix
     pencil (angles), beamforming, delay periodogram (delays). ``cfg`` must be
@@ -355,7 +352,7 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
     return replace(_run(cfg, pulse_wave, started, keep_artifacts), config=cfg.to_dict())
 
 
-def _run(cfg: ScenarioConfig, pulse_wave: SampledWaveform, started: float,
+def _run(cfg: ScenarioConfig, pulse_wave: np.ndarray, started: float,
          keep_artifacts: bool = False) -> RunReport:
     """:func:`run_pipeline` after the pulse, with :func:`estimate`'s echo: ``cfg`` is resolved
     and transmits ``pulse_wave``."""
@@ -421,7 +418,7 @@ class MonteCarloReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _run_trial(cfg: ScenarioConfig, pulse_wave: SampledWaveform, trial: int) -> dict:
+def _run_trial(cfg: ScenarioConfig, pulse_wave: np.ndarray, trial: int) -> dict:
     seed = trial_seed(cfg.seed, trial)
     entry = {"trial": trial, "seed": seed}
     try:
@@ -438,6 +435,7 @@ def _run_trial(cfg: ScenarioConfig, pulse_wave: SampledWaveform, trial: int) -> 
             "delay_median": report.delay_median,
             "delay_errors": report.delay_errors,
             "estimate_valid": report.estimate_valid,
+            "unreliable_fits": report.unreliable_fits,
         }
     )
     return entry

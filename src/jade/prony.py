@@ -14,8 +14,7 @@ the unit circle flags the fit instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,41 +37,32 @@ _CLAMP_TOL = 1e-6
 class PronyConfig:
     """Free parameters of the exponential-mode estimator.
 
-    ``num_modes`` is the number of paths (assumed known). The pencil order
-    p defaults to one third of the two-sided sequence length; the Hankel
-    matrix has p + 1 columns. The two-sided sequence is
-    conjugate-symmetric, so its backward Hankel matrix equals the forward
-    one and there is no forward-backward variant.
+    ``num_modes`` is the number of paths (assumed known); the pencil order
+    follows from it and the sequence length (:meth:`order`). The two-sided
+    sequence is conjugate-symmetric, so its backward Hankel matrix equals
+    the forward one and there is no forward-backward variant.
     """
 
     num_modes: int
-    prediction_order: Optional[int] = None
     # Not a field: perfbench's replay still reads it to size the SVD; delete it
     # once the replay sizes the SVD from the matrix shape (ROADMAP item 1).
     forward_backward = False
 
-    def resolved(self, num_lags: int) -> "PronyConfig":
-        """Fill defaults for a sequence with ``num_lags`` one-sided lags, and check they fit it."""
-        total = 2 * num_lags - 1
-        order = total // 3 if self.prediction_order is None else self.prediction_order
-        if self.num_modes < 1:
-            raise ValidationError(f"num_modes must be >= 1, got {self.num_modes}")
-        if self.num_modes > order:
-            hint = ""
-            if self.prediction_order is None:
-                # (2M-1)//3 >= L first holds at M = ceil((3L+1)/2); M lags hold orders up to M-1
-                paths = self.num_modes
-                hint = (f": the default prediction_order (2M-1)//3 is {order} at M={num_lags} "
-                        f"sensors; {paths} paths need at least {(3 * paths + 2) // 2} sensors"
-                        + (f", or set prediction_order={paths}" if paths < num_lags else ""))
+    def order(self, num_lags: int) -> int:
+        """The pencil order p = max(L, (2M-1)//3) for M = ``num_lags`` one-sided lags.
+
+        One third of the two-sided length where that holds the L modes, else
+        L itself; both need L < M, so that the (2M-1-p) x (p+1) Hankel matrix
+        has rank L.
+        """
+        paths = self.num_modes
+        if paths < 1:
+            raise ValidationError(f"num_modes must be >= 1, got {paths}")
+        if paths >= num_lags:
             raise ValidationError(
-                f"need num_modes <= prediction_order, got {self.num_modes} <= {order}{hint}"
+                f"{paths} paths need at least {paths + 1} sensors, got M={num_lags}"
             )
-        if order > (total - 1) // 2:
-            raise ValidationError(
-                f"prediction_order {order} exceeds (sequence length - 1)/2 = {(total - 1) // 2}"
-            )
-        return replace(self, prediction_order=order)
+        return max(paths, (2 * num_lags - 1) // 3)
 
 
 @dataclass
@@ -100,14 +90,13 @@ def svd_prony(corr: CorrelationSequence, cfg: PronyConfig) -> ModeEstimate:
     """Estimate sin(angle) per path from the correlation sequence.
 
     Takes the SVD of the (T-p) x (p+1) Hankel matrix of the two-sided
-    sequence (T = 2M-1 lags, p the order), solves the shift of its top
-    ``num_modes`` right singular vectors in least squares and takes the
-    eigenvalues as the modes, then fits real mode amplitudes by least
-    squares.
+    sequence (T = 2M-1 lags, p from :meth:`PronyConfig.order`), solves the
+    shift of its top ``num_modes`` right singular vectors in least squares
+    and takes the eigenvalues as the modes, then fits real mode amplitudes
+    by least squares.
     """
-    cfg = cfg.resolved(corr.num_lags)
+    order = cfg.order(corr.num_lags)
     two_sided = corr.two_sided()
-    order = cfg.prediction_order
 
     windows = np.lib.stride_tricks.sliding_window_view(two_sided, order + 1)
     _, sing, vh = np.linalg.svd(windows, full_matrices=False)

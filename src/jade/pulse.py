@@ -17,9 +17,8 @@ from .exceptions import ValidationError
 
 __all__ = [
     "PulseConfig",
-    "SampledWaveform",
-    "Spectrum",
     "generate_pulse",
+    "omega_grid",
     "spectrum",
     "unwrap_phase",
 ]
@@ -59,6 +58,12 @@ class PulseConfig:
     def num_samples(self) -> int:
         return self.symbol_count * self.oversample
 
+    @property
+    def times(self) -> np.ndarray:
+        """Sample times t_n = (n - N/2) / oversample in symbol periods, n = 0..N-1."""
+        n = self.num_samples
+        return (np.arange(n) - n / 2) / self.oversample
+
     def validate(self) -> None:
         if not 0.0 < self.rolloff <= 1.0:
             raise ValidationError(f"rolloff must be in (0, 1], got {self.rolloff}")
@@ -90,65 +95,24 @@ class PulseConfig:
         return rng.integers(0, 2, size=self.symbol_count)
 
 
-@dataclass
-class SampledWaveform:
-    """A real waveform on a uniform time grid (time in symbol periods)."""
-
-    t: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.t.ndim != 1 or self.t.shape != self.values.shape:
-            raise ValidationError("t and values must be 1-D arrays of equal length")
-        if len(self.t) >= 2:
-            steps = np.diff(self.t)
-            if steps.min() <= 0 or not np.allclose(steps, steps[0], rtol=1e-12, atol=0):
-                raise ValidationError("time grid must be uniform and strictly increasing")
-        if not np.isfinite(self.values).all():
-            raise ValidationError("waveform contains non-finite samples")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass
-class Spectrum:
-    """DFT of a sampled waveform.
-
-    ``omega`` holds the digital radian frequency of each bin mapped to
-    (-pi, pi], in natural DFT bin order (bin q of an N-point transform).
-    The passband is chosen from ``magnitude`` by
-    :func:`jade.correlation.select_band`.
-    """
-
-    omega: np.ndarray
-    values: np.ndarray
-    magnitude: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def _omega_grid(n: int) -> np.ndarray:
-    """Radian frequencies of an n-point DFT mapped to (-pi, pi], bin order."""
+def omega_grid(n: int) -> np.ndarray:
+    """Radian frequencies of an n-point DFT mapped to (-pi, pi], in natural bin order."""
     q = np.arange(n)
     w = 2.0 * np.pi * q / n
     return np.where(q <= n // 2, w, w - 2.0 * np.pi)
 
 
-def generate_pulse(cfg: PulseConfig) -> SampledWaveform:
+def generate_pulse(cfg: PulseConfig) -> np.ndarray:
     """Sample the keyed raised-cosine pulse on its symmetric time grid.
 
-    The grid is t_n = (n - N/2) / oversample for n = 0..N-1 with
-    N = symbol_count * oversample, so the pulse peak sits at t = 0 in the
-    middle of the window. The removable singularities of the raised-cosine
-    factors (t = 0 and |t| = 1/(2*rolloff)) are replaced by their limits.
+    Returns the N = symbol_count * oversample samples at the times
+    ``cfg.times``, t_n = (n - N/2) / oversample, so the pulse peak sits at
+    t = 0 in the middle of the window. The removable singularities of the
+    raised-cosine factors (t = 0 and |t| = 1/(2*rolloff)) are replaced by
+    their limits.
     """
     bits = cfg.resolve_bits()
-    n_total = cfg.num_samples
-    t = (np.arange(n_total) - n_total / 2) / cfg.oversample
+    t = cfg.times
 
     # One bit per symbol period [k, k+1); the window spans symbol_count periods
     # centred on t = 0, so the index shift is symbol_count / 2.
@@ -164,18 +128,21 @@ def generate_pulse(cfg: PulseConfig) -> SampledWaveform:
     safe_denom = np.where(singular, 1.0, denom)
     rolloff_term = np.where(singular, np.pi / 4.0, np.cos(np.pi * rho * t) / safe_denom)
 
-    values = sinc_term * rolloff_term * np.cos(2.0 * np.pi * cfg.carrier_freq * t + keyed_phase)
-    return SampledWaveform(t=t, values=values)
+    return sinc_term * rolloff_term * np.cos(2.0 * np.pi * cfg.carrier_freq * t + keyed_phase)
 
 
-def spectrum(w: SampledWaveform, band_threshold: float = 0.1) -> Spectrum:
-    """Compute the DFT of a waveform with its magnitude."""
+def spectrum(wave: np.ndarray, band_threshold: float = 0.1) -> np.ndarray:
+    """The complex DFT of a real waveform, bin q at ``omega_grid(len(wave))[q]``.
+
+    The waveform must be 1-D and finite, with at least 2 samples.
+    """
     # band_threshold is unused; perfbench's traced replay still passes it positionally.
-    n = len(w)
-    if n < 2:
-        raise ValidationError("waveform must have at least 2 samples")
-    values = np.fft.fft(w.values)
-    return Spectrum(omega=_omega_grid(n), values=values, magnitude=np.abs(values))
+    wave = np.asarray(wave, dtype=float)
+    if wave.ndim != 1 or len(wave) < 2:
+        raise ValidationError(f"waveform must be 1-D with >= 2 samples, got shape {wave.shape}")
+    if not np.isfinite(wave).all():
+        raise ValidationError("waveform contains non-finite samples")
+    return np.fft.fft(wave)
 
 
 def unwrap_phase(phi: Union[Sequence[float], np.ndarray], axis: int = -1) -> np.ndarray:

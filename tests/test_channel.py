@@ -9,7 +9,6 @@ from jade import (
     ArrayConfig,
     FadingModel,
     PathParam,
-    SampledWaveform,
     ValidationError,
     default_scenario,
     generate_pulse,
@@ -105,28 +104,28 @@ class TestSynthesize:
     def test_identity_channel(self, pulse_wave):
         snaps = one_path_snaps(pulse_wave)
         for k in range(snaps.num_sensors):
-            err = np.abs(time_series(snaps)[0, k] - pulse_wave.values).max()
-            assert err < 1e-12 * np.abs(pulse_wave.values).max()
+            err = np.abs(time_series(snaps)[0, k] - pulse_wave).max()
+            assert err < 1e-12 * np.abs(pulse_wave).max()
 
     def test_integer_delay_is_circular_shift(self, pulse_wave):
         snaps = one_path_snaps(pulse_wave, delay=5.0)
-        expected = np.roll(pulse_wave.values, 5)
+        expected = np.roll(pulse_wave, 5)
         err = np.abs(time_series(snaps)[0, 0] - expected).max()
-        assert err < 1e-10 * np.abs(pulse_wave.values).max()
+        assert err < 1e-10 * np.abs(pulse_wave).max()
 
     def test_fractional_delay_matches_frequency_domain(self, pulse_wave):
         snaps = one_path_snaps(pulse_wave, delay=2.5)
         n = len(pulse_wave)
         q = np.arange(n)
         omega = np.where(q <= n // 2, 2 * np.pi * q / n, 2 * np.pi * q / n - 2 * np.pi)
-        expected = np.fft.ifft(np.fft.fft(pulse_wave.values) * np.exp(-1j * omega * 2.5))
+        expected = np.fft.ifft(np.fft.fft(pulse_wave) * np.exp(-1j * omega * 2.5))
         assert np.abs(time_series(snaps)[0, 0] - expected).max() < 1e-12
 
     def test_steering_applied_per_sensor(self, pulse_wave):
         snaps = one_path_snaps(pulse_wave, angle_deg=20.0, sensors=4)
         v = steering_vector(ArrayConfig(4, 0.5), 20.0)
         for k in range(4):
-            assert np.allclose(time_series(snaps)[0, k], v[k] * pulse_wave.values, atol=1e-12)
+            assert np.allclose(time_series(snaps)[0, k], v[k] * pulse_wave, atol=1e-12)
 
     def test_spectra_match_data(self, pulse_wave, tmp_path):
         # the spectra come back from the time series of a dataset file
@@ -348,7 +347,7 @@ class TestSynthesize:
         # delays keep the shifted pulse real so the per-path energy equals
         # the undelayed pulse energy.
         n = len(pulse_wave)
-        energy = np.sum(pulse_wave.values**2)
+        energy = np.sum(pulse_wave**2)
         closed = 2.0 * (energy + energy) / n
         total, chunks, s_per = 0.0, 4, 2500
         for c in range(chunks):
@@ -383,9 +382,8 @@ class TestSynthesize:
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
             synthesize(pulse_wave, [PathParam(0.0, 0.0)], arr, fading, 1, seed=-1)
         # the delayed spectra come from spectrum(), which needs two samples
-        one_sample = SampledWaveform(t=[0.0], values=[1.0])
-        with pytest.raises(ValidationError, match="at least 2 samples"):
-            synthesize(one_sample, [PathParam(0.0, 0.0)], arr, fading, 1)
+        with pytest.raises(ValidationError, match=">= 2 samples"):
+            synthesize(np.array([1.0]), [PathParam(0.0, 0.0)], arr, fading, 1)
 
 
 class TestNumBins:

@@ -59,8 +59,10 @@ class TestPulseCommand:
         assert main(["pulse", "--out", str(tmp_path / "a")]) == 0
         assert main(["pulse", "--seed", "7", "--out", str(tmp_path / "b")]) == 0
         _, rows = read_csv(tmp_path / "a" / "pulse_waveform.csv")
-        g = np.array([float(r[1]) for r in rows])
-        assert np.array_equal(g, generate_pulse(default_scenario().resolved().pulse).values)
+        t, g = np.array(rows, dtype=float).T
+        pulse = default_scenario().resolved().pulse
+        assert np.array_equal(t, pulse.times)
+        assert np.array_equal(g, generate_pulse(pulse))
         seeded = (tmp_path / "b" / "pulse_waveform.csv").read_bytes()
         assert seeded != (tmp_path / "a" / "pulse_waveform.csv").read_bytes()
 
@@ -376,20 +378,23 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_key_is_2(self, tmp_path, capsys):
-        # weighted_fit is a removed key: even its one formerly used value is unknown
-        for key, value in (("bogus", "1"), ("weighted_fit", "true"), ("weighted_fit", "false")):
+        # weighted_fit and prediction_order are removed keys: even a value that
+        # was legal is unknown
+        for key, value in (("bogus", "1"), ("weighted_fit", "true"), ("weighted_fit", "false"),
+                           ("prediction_order", "2"), ("prediction_order", "z")):
             assert main(["run", "--set", f"{key}={value}"]) == 2
             assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
-        cfg = tmp_path / "scenario.cfg"
-        cfg.write_text("sensors = 8\nweighted_fit = false\n")
-        assert main(["run", "--snapshots", "5", "--config", str(cfg)]) == 2
-        assert "unknown config keys: ['weighted_fit']" in capsys.readouterr().err
+        for key, value in (("weighted_fit", "false"), ("prediction_order", "7")):
+            cfg = tmp_path / "scenario.cfg"
+            cfg.write_text(f"sensors = 8\n{key} = {value}\n")
+            assert main(["run", "--snapshots", "5", "--config", str(cfg)]) == 2
+            assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "setting",
         ["noise_var=nan", "noise_var=inf", "spacing=nan", "sigma=nan", "carrier_freq=nan",
          # values that are not numbers at all
-         "sensors=abc", "noise_var=x", "snapshots=1.5", "schema=abc", "prediction_order=z",
+         "sensors=abc", "noise_var=x", "snapshots=1.5", "schema=abc",
          "delays=nan,7", "fading=nakagami",
          "sensors"],  # no '=' at all
     )
@@ -438,19 +443,6 @@ class TestExitCodes:
         assert captured.out == ""
         assert "bits_seed" in captured.err
 
-    @pytest.mark.parametrize("setting", ["prediction_order=12"])
-    def test_prony_settings_too_large_for_the_array_are_2(self, tmp_path, capsys, setting):
-        assert main(["run", "--snapshots", "5", "--set", "sensors=8", "--set", setting]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error:" in captured.err
-        # estimate checks them against the dataset's array, not the config's
-        data = tmp_path / "snaps.txt"
-        assert main(["simulate", "--snapshots", "5", "--set", "sensors=8", "--out", str(data)]) == 0
-        capsys.readouterr()
-        assert main(["estimate", "--snapshots", "5", "--set", setting, "--data", str(data)]) == 2
-        assert "error:" in capsys.readouterr().err
-
     @pytest.mark.parametrize("setting, message", [
         # the backward Hankel matrix equals the forward one, so the key is gone
         ("forward_backward=true", "unknown config keys: ['forward_backward']"),
@@ -464,32 +456,35 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [["run"], ["montecarlo", "--trials", "2"]])
     def test_more_paths_than_the_default_order_holds_are_2(self, capsys, command):
-        # two paths need a prediction order of 2, but 2 sensors give (2*2-1)//3 = 1
+        # the pencil order holds at most M - 1 paths, so two paths need 3 sensors
         assert main([*command, "--snapshots", "5", "--set", "sensors=2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: need num_modes <= prediction_order, got 2 <= 1" in captured.err
+        assert captured.err == "error: 2 paths need at least 3 sensors, got M=2\n"
 
-    @pytest.mark.parametrize("sensors, hint", [
-        ("2", "the default prediction_order (2M-1)//3 is 1 at M=2 sensors; "
-              "2 paths need at least 4 sensors\n"),
-        ("3", "the default prediction_order (2M-1)//3 is 1 at M=3 sensors; "
-              "2 paths need at least 4 sensors, or set prediction_order=2\n"),
-    ])
-    def test_default_order_error_says_what_to_change(self, capsys, sensors, hint):
-        assert main(["run", "--snapshots", "5", "--set", f"sensors={sensors}"]) == 2
-        assert capsys.readouterr().err.endswith(hint)
-        if "prediction_order=2" in hint:
-            assert main(["run", "--snapshots", "5", "--set", f"sensors={sensors}",
-                         "--set", "prediction_order=2"]) == 0
+    @pytest.mark.parametrize("sensors, angles, delays", [
+        (3, "-10,20", "3,7"),
+        (7, "-50,-30,-10,10,30,50", "1,2,3,4,5,6"),
+    ], ids=["2-paths-M3", "6-paths-M7"])
+    def test_as_many_sensors_as_paths_plus_one_run(self, capsys, sensors, angles, delays):
+        # the order is then L itself, above one third of 2M-1; noiseless, the
+        # error left is the finite-snapshot cross term of the paths
+        args = ["--set", f"sensors={sensors}", "--set", f"angles_deg={angles}",
+                "--set", f"delays={delays}"]
+        assert main(["run", *args]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["estimate_valid"] and report["unreliable_fits"] == 0
+        assert max(abs(e) for e in report["angle_errors_deg"]) < 1.0
+        assert max(abs(e) for e in report["delay_errors"]) < 0.1
 
     def test_estimate_checks_the_default_order_against_the_dataset(self, tmp_path, capsys):
         data = tmp_path / "snaps.txt"
         assert main(["simulate", "--snapshots", "5", "--set", "sensors=2",
                      "--set", "angles_deg=10", "--set", "delays=3", "--out", str(data)]) == 0
         capsys.readouterr()
+        # the config's two paths, on the dataset's 2 sensors
         assert main(["estimate", "--snapshots", "5", "--data", str(data)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: 2 paths need at least 3 sensors, got M=2\n"
 
     @pytest.mark.parametrize("command", [["run", "--config"], ["estimate", "--data"]])
     def test_missing_input_file_is_2(self, tmp_path, capsys, command):

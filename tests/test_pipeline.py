@@ -197,8 +197,12 @@ class TestMonteCarlo:
         # trials share the base config's resolved pulse bits; only the
         # fading/noise seed is re-derived per trial
         direct = run_pipeline(replace(cfg.resolved(), seed=trial_seed(cfg.seed, 0)))
-        assert mc.trials[0]["angles_est_deg"] == direct.angles_est_deg
-        assert mc.trials[0]["delay_median"] == direct.delay_median
+        # every key of the trial but its index, seed and status is the report's,
+        # the delay verdict included
+        entry = mc.trials[0]
+        fields = set(entry) - {"trial", "seed", "ok"}
+        assert "unreliable_fits" in fields and "angles_est_deg" in fields
+        assert {k: entry[k] for k in fields} == {k: direct.to_dict()[k] for k in fields}
         assert mc.num_failed == 0
         assert mc.angle_rmse_deg == [abs(e) for e in direct.angle_errors_deg]
 
@@ -415,10 +419,10 @@ class TestConfigHandling:
             scenario_from_dict({"fading": kind, key: 1.0})
 
     def test_prony_settings_follow_the_paths(self):
-        cfg = scenario_from_dict({"prediction_order": 9})
         three = [PathParam(-30.0, 2.0), PathParam(0.0, 5.0), PathParam(25.0, 9.0)]
-        again = replace(cfg, paths=three)
-        assert again.prony == PronyConfig(num_modes=3, prediction_order=9)
+        again = replace(default_scenario(), paths=three)
+        assert again.prony == PronyConfig(num_modes=3)
+        assert again.prony.order(64) == (2 * 64 - 1) // 3
 
     def test_synthesize_and_scenario_share_their_checks(self):
         cfg = replace(default_scenario(), num_snapshots=0)
@@ -445,38 +449,41 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize(
         "prony,ok",
-        [({"prediction_order": 7}, True),
-         ({"prediction_order": 8}, False),
-         ({"prediction_order": 0}, False),
-         ({"prediction_order": 1}, False)],  # below the path count
+        [({"paths": 7}, True),
+         ({"paths": 8}, False),
+         ({"paths": 12}, False),
+         ({"sensors": 2}, False)],  # the default two paths
     )
     def test_prony_settings_must_fit_the_array(self, prony, ok):
-        # 8 sensors give 2*8-1 lags, so the prediction order is at most 7
-        cfg = replace(default_scenario(), array=ArrayConfig(8, 0.5), num_snapshots=5, **prony)
+        # 8 sensors give 2*8-1 lags: the pencil order is at most 7, and it is at least L
+        sensors, paths = prony.get("sensors", 8), prony.get("paths", 2)
+        cfg = replace(default_scenario(), array=ArrayConfig(sensors, 0.5), num_snapshots=5,
+                      paths=[PathParam(-60.0 + 10.0 * i, 0.5 * i) for i in range(paths)])
         if ok:
-            assert cfg.prony.resolved(8).prediction_order == prony["prediction_order"]
+            assert cfg.prony.order(sensors) == paths
             run_pipeline(cfg)
         else:
-            with pytest.raises(ValidationError, match="prediction_order"):
-                cfg.prony.resolved(8)
-            with pytest.raises(ValidationError, match="prediction_order"):
+            message = f"{paths} paths need at least {paths + 1} sensors, got M={sensors}"
+            with pytest.raises(ValidationError, match=message):
+                cfg.prony.order(sensors)
+            with pytest.raises(ValidationError, match=message):
                 run_pipeline(cfg)
 
     @pytest.mark.parametrize(
         "sensors,paths,ok",
-        [(2, 1, True), (2, 2, False), (3, 3, False), (5, 3, True), (4, 3, False)],
+        [(2, 1, True), (2, 2, False), (3, 3, False), (5, 3, True), (4, 3, True)],
     )
     def test_default_prony_settings_must_fit_the_array(self, sensors, paths, ok):
-        # with no settings the order is (2M-1)//3, and it must hold every path
+        # the derived order max(L, (2M-1)//3) holds every path on more sensors than paths
         cfg = small_scenario(array=ArrayConfig(sensors, 0.5), num_snapshots=3,
                              paths=[PathParam(10.0 * i, float(i)) for i in range(paths)])
         if ok:
-            cfg.prony.resolved(sensors)
+            cfg.prony.order(sensors)
             assert monte_carlo(cfg, trials=1).num_trials == 1
         else:
-            with pytest.raises(ValidationError, match="prediction_order"):
-                cfg.prony.resolved(sensors)
-            with pytest.raises(ValidationError, match="prediction_order"):
+            with pytest.raises(ValidationError, match=f"need at least {paths + 1} sensors"):
+                cfg.prony.order(sensors)
+            with pytest.raises(ValidationError, match=f"need at least {paths + 1} sensors"):
                 monte_carlo(cfg, trials=2)
 
     def test_odd_symbol_count_fails_monte_carlo_as_a_whole(self):

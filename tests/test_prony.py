@@ -105,15 +105,16 @@ class TestSvdProny:
 
     def test_exactness_random_modes(self):
         # up to 4 unit-modulus modes, positive amplitudes, separation >= 0.1:
-        # phase increments recovered to 1e-8 at the default order T//3 and at (T-1)//2
+        # phase increments recovered to 1e-8 at the order T//3 of 64 lags, and at
+        # the order L of count + 1 lags, the fewest that hold the modes
         rng = np.random.default_rng(42)
         for _ in range(50):
             count = int(rng.integers(1, 5))
             phases = circular_separated_phases(rng, count)
             amps = rng.uniform(0.5, 2.0, count)
-            corr = sequence_from_modes(phases, amps, num_lags=64)
-            for order in ((2 * 64 - 1) // 3, (2 * 64 - 2) // 2):
-                est = svd_prony(corr, PronyConfig(num_modes=count, prediction_order=order))
+            for num_lags in (64, count + 1):
+                corr = sequence_from_modes(phases, amps, num_lags=num_lags)
+                est = svd_prony(corr, PronyConfig(num_modes=count))
                 got = np.sort(np.angle(est.roots))
                 assert np.abs(got - np.sort(phases)).max() < 1e-8
 
@@ -160,35 +161,38 @@ class TestSvdProny:
 
     def test_config_validation(self):
         corr = sequence_from_modes([0.5], [1.0], num_lags=8)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="num_modes must be >= 1, got 0"):
             svd_prony(corr, PronyConfig(num_modes=0))
-        with pytest.raises(ValidationError):
-            svd_prony(corr, PronyConfig(num_modes=2, prediction_order=1))
-        with pytest.raises(ValidationError):
-            svd_prony(corr, PronyConfig(num_modes=1, prediction_order=12))
+        with pytest.raises(ValidationError, match="8 paths need at least 9 sensors, got M=8"):
+            svd_prony(corr, PronyConfig(num_modes=8))
+        assert svd_prony(corr, PronyConfig(num_modes=7)).roots.shape == (7,)
 
     def test_default_prediction_order(self):
-        corr = sequence_from_modes([0.5], [1.0], num_lags=64)
-        cfg = PronyConfig(num_modes=1).resolved(64)
-        assert cfg.prediction_order == (2 * 64 - 1) // 3
+        # one third of the two-sided length wherever that holds the paths
+        assert PronyConfig(num_modes=1).order(64) == (2 * 64 - 1) // 3
+        assert PronyConfig(num_modes=42).order(64) == 42
+        assert PronyConfig(num_modes=43).order(64) == 43
+
+    @pytest.mark.parametrize("sensors", range(2, 11))
+    @pytest.mark.parametrize("paths", range(1, 7))
+    def test_order_is_derived_from_the_paths_and_sensors(self, paths, sensors):
+        cfg = PronyConfig(num_modes=paths)
+        if paths < sensors:
+            assert cfg.order(sensors) == max(paths, (2 * sensors - 1) // 3)
+        else:
+            with pytest.raises(ValidationError) as info:
+                cfg.order(sensors)
+            assert str(info.value) == (
+                f"{paths} paths need at least {paths + 1} sensors, got M={sensors}")
 
     @pytest.mark.parametrize("paths", range(1, 7))
     def test_default_order_error_names_the_fewest_sensors(self, paths):
-        # (2M-1)//3 >= L first holds at M = ceil((3L+1)/2)
-        fewest = -(-(3 * paths + 1) // 2)
-        assert PronyConfig(num_modes=paths).resolved(fewest).prediction_order >= paths
-        with pytest.raises(ValidationError) as info:
-            PronyConfig(num_modes=paths).resolved(fewest - 1)
-        message = str(info.value)
-        assert f"default prediction_order (2M-1)//3 is {(2 * fewest - 3) // 3} " in message
-        assert f"at M={fewest - 1} sensors; {paths} paths need at least {fewest} sensors" in message
-        # the suggested order is one the array holds, so following it resolves
-        suggestion = f", or set prediction_order={paths}"
-        assert (suggestion in message) == (paths <= fewest - 2)
-        if paths <= fewest - 2:
-            PronyConfig(num_modes=paths, prediction_order=paths).resolved(fewest - 1)
-
-    def test_explicit_order_error_has_no_hint(self):
-        with pytest.raises(ValidationError) as info:
-            PronyConfig(num_modes=2, prediction_order=1).resolved(64)
-        assert str(info.value) == "need num_modes <= prediction_order, got 2 <= 1"
+        # L paths need L + 1 sensors; the order is then L, and the data hold the modes
+        PronyConfig(num_modes=paths).order(paths + 1)
+        with pytest.raises(ValidationError, match=f"need at least {paths + 1} sensors"):
+            PronyConfig(num_modes=paths).order(paths)
+        phases = np.linspace(-2.5, 2.5, paths)
+        corr = sequence_from_modes(phases, np.ones(paths), num_lags=paths + 1)
+        est = svd_prony(corr, PronyConfig(num_modes=paths))
+        assert est.valid
+        assert np.abs(np.sort(np.angle(est.roots)) - phases).max() < 1e-8

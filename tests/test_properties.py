@@ -34,14 +34,11 @@ def scenario_keys(draw):
     oversample = draw(st.integers(1, 8))
     half = symbols * oversample / 2
     sensors = draw(st.integers(2, 256))
-    # the Prony settings, explicit or default, fit the 2M-1 lags: paths <= order <= M-1,
-    # and an absent order defaults to (2M-1)//3
-    order = draw(optional(st.integers(1, sensors - 1)))
-    top = (2 * sensors - 1) // 3 if order is None else order
+    # the pencil order max(L, (2M-1)//3) fits the 2M-1 lags for L <= M-1 paths
     paths = draw(st.lists(
         st.tuples(finite(-90.0, 90.0, exclude_min=True, exclude_max=True),
                   finite(-half, half, exclude_min=True, exclude_max=True)),
-        min_size=1, max_size=min(6, top)))
+        min_size=1, max_size=min(6, sensors - 1)))
     kind = draw(st.sampled_from(sorted(FADING_PARAMS)))
     raw = {
         "rolloff": draw(finite(0.0, 1.0, exclude_min=True)),
@@ -62,7 +59,6 @@ def scenario_keys(draw):
                          st.fixed_dictionaries({"bits": st.text("01", min_size=symbols,
                                                                 max_size=symbols)}),
                          st.fixed_dictionaries({"bits_seed": st.integers(0, 2**32)}))),
-        "prediction_order": order,
         **{key: draw(optional(value)) for key, value in FADING_PARAMS[kind].items()},
     }
     return {key: value for key, value in raw.items() if value is not None}
