@@ -29,7 +29,6 @@ from .pipeline import (
     RunReport,
     ScenarioConfig,
     default_scenario,
-    load_config,
     monte_carlo,
     run_pipeline,
     scenario_from_dict,
@@ -67,6 +66,5 @@ __all__ = [
     "default_scenario",
     "run_pipeline",
     "monte_carlo",
-    "load_config",
     "scenario_from_dict",
 ]

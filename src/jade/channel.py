@@ -128,15 +128,6 @@ class FadingModel:
         return cls(kind="rician", nu=nu, sigma=sigma)
 
     @classmethod
-    def rician_from_k(cls, k_factor: float, power: float = 2.0) -> "FadingModel":
-        """Rician model with the given K-factor and total power E|beta|^2."""
-        if k_factor < 0:
-            raise ValidationError(f"K-factor must be >= 0, got {k_factor}")
-        sigma = np.sqrt(power / (2.0 * (1.0 + k_factor)))
-        nu = np.sqrt(k_factor * power / (1.0 + k_factor))
-        return cls(kind="rician", nu=float(nu), sigma=float(sigma))
-
-    @classmethod
     def suzuki(cls, sigma: float = 1.0, mean_db: float = 0.0, std_db: float = 6.0) -> "FadingModel":
         return cls(kind="suzuki", sigma=sigma, mean_db=mean_db, std_db=std_db)
 

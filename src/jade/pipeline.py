@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "estimate",
     "run_pipeline",
     "monte_carlo",
-    "load_config",
     "read_config",
     "scenario_from_dict",
 ]
@@ -228,14 +227,14 @@ def read_config(path) -> dict:
     return raw
 
 
-def load_config(path) -> ScenarioConfig:
-    """The scenario of a flat ``key = value`` config file."""
-    return scenario_from_dict(read_config(path))
+def _fields(report) -> dict:
+    """A report's fields by name, in declaration order."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunReport:
-    """Everything a single pipeline run produced.
+    """Everything a single pipeline run produced, its fields in JSON order.
 
     The truth and error fields are filled in by :func:`run_pipeline` and
     stay ``None`` (and out of the JSON) for a report of :func:`estimate`
@@ -244,8 +243,9 @@ class RunReport:
     pass ``include_timing=True`` to keep it.
     """
 
-    config: dict
+    version: str = __version__
     seed: int
+    config: dict
     sines_est: List[float]
     angles_est_deg: List[float]
     amplitudes: List[float]
@@ -254,33 +254,21 @@ class RunReport:
     clamped: bool
     band_start: int
     band_stop: int
-    slope_median: List[float]
-    delay_median: List[float]
-    delay_mean: List[float]
-    unreliable_fits: int
     angles_true_deg: Optional[List[float]] = None
     delays_true: Optional[List[float]] = None
     angle_errors_deg: Optional[List[float]] = None
     delay_errors: Optional[List[float]] = None
+    slope_median: List[float]
+    delay_median: List[float]
+    delay_mean: List[float]
+    unreliable_fits: int
     timing_s: float = 0.0
-    version: str = __version__
     artifacts: Optional[PipelineArtifacts] = None
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        out = {"schema": REPORT_SCHEMA, "version": self.version, "seed": self.seed,
-               "config": self.config}
-        for key in (
-            "sines_est", "angles_est_deg", "amplitudes", "singular_values",
-            "estimate_valid", "clamped", "band_start", "band_stop",
-            "angles_true_deg", "delays_true", "angle_errors_deg", "delay_errors",
-            "slope_median", "delay_median", "delay_mean", "unreliable_fits",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if include_timing:
-            out["timing_s"] = self.timing_s
-        return out
+        skip = {"artifacts"} if include_timing else {"artifacts", "timing_s"}
+        return {"schema": REPORT_SCHEMA, **{k: v for k, v in _fields(self).items()
+                                            if v is not None and k not in skip}}
 
     def to_json(self, include_timing: bool = False) -> str:
         return json.dumps(self.to_dict(include_timing=include_timing), indent=2)
@@ -380,16 +368,16 @@ def trial_seed(base_seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([base_seed, trial]).generate_state(1, np.uint64)[0])
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MonteCarloReport:
-    """Per-trial results plus bias/RMSE aggregates over successful trials.
+    """Per-trial results plus bias/RMSE aggregates over successful trials, in JSON order.
 
     ``num_flagged`` counts the successful trials whose report says
     ``estimate_valid: false``; the aggregates still include them.
     """
 
+    version: str = __version__
     config: dict
-    trials: List[dict]
     num_trials: int
     num_failed: int
     num_flagged: int
@@ -397,25 +385,18 @@ class MonteCarloReport:
     angle_rmse_deg: Optional[List[float]]
     delay_bias: Optional[List[float]]
     delay_rmse: Optional[List[float]]
-    version: str = __version__
+    trials: List[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA + "/montecarlo",
-            "version": self.version,
-            "config": self.config,
-            "num_trials": self.num_trials,
-            "num_failed": self.num_failed,
-            "num_flagged": self.num_flagged,
-            "angle_bias_deg": self.angle_bias_deg,
-            "angle_rmse_deg": self.angle_rmse_deg,
-            "delay_bias": self.delay_bias,
-            "delay_rmse": self.delay_rmse,
-            "trials": self.trials,
-        }
+        return {"schema": REPORT_SCHEMA + "/montecarlo", **_fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
+
+
+# The run-report fields a Monte-Carlo trial entry copies, in its JSON order.
+TRIAL_FIELDS = ("angles_est_deg", "angle_errors_deg", "slope_median", "delay_median",
+                "delay_errors", "estimate_valid", "unreliable_fits")
 
 
 def _run_trial(cfg: ScenarioConfig, pulse_wave: np.ndarray, trial: int) -> dict:
@@ -426,18 +407,8 @@ def _run_trial(cfg: ScenarioConfig, pulse_wave: np.ndarray, trial: int) -> dict:
     except EstimationError as exc:  # a ValidationError is the config's: it fails the whole call
         entry.update({"ok": False, "error": str(exc)})
         return entry
-    entry.update(
-        {
-            "ok": True,
-            "angles_est_deg": report.angles_est_deg,
-            "angle_errors_deg": report.angle_errors_deg,
-            "slope_median": report.slope_median,
-            "delay_median": report.delay_median,
-            "delay_errors": report.delay_errors,
-            "estimate_valid": report.estimate_valid,
-            "unreliable_fits": report.unreliable_fits,
-        }
-    )
+    entry["ok"] = True
+    entry.update((key, getattr(report, key)) for key in TRIAL_FIELDS)
     return entry
 
 

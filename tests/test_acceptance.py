@@ -212,7 +212,8 @@ def test_criterion_6_matched_beamformer_magnitude():
 @pytest.mark.parametrize(
     "label,fading",
     [
-        ("rician K=5", FadingModel.rician_from_k(5.0)),
+        # K = nu^2 / (2 sigma^2) = 5 at E|beta|^2 = 2
+        ("rician K=5", FadingModel.rician(nu=1.2909944487358056, sigma=0.408248290463863)),
         ("suzuki std_db=6", FadingModel.suzuki(sigma=1.0, mean_db=0.0, std_db=6.0)),
     ],
 )

@@ -430,8 +430,10 @@ class TestFadingModel:
         assert np.mean(np.abs(b) ** 2) == pytest.approx(2.0, rel=0.02)
 
     def test_rician_moments_and_k_factor(self):
-        fm = FadingModel.rician_from_k(5.0)
+        # K = 5 at E|beta|^2 = 2: nu^2 = 2K/(1+K), 2 sigma^2 = 2/(1+K)
+        fm = FadingModel.rician(nu=1.2909944487358056, sigma=0.408248290463863)
         assert fm.nu**2 / (2 * fm.sigma**2) == pytest.approx(5.0)
+        assert fm.mean_square() == pytest.approx(2.0)
         rng = np.random.default_rng(1)
         b = fm.draw(rng, 100_000)
         assert abs(b.mean()) < 0.02
@@ -483,8 +485,6 @@ class TestFadingModel:
             FadingModel(kind="nakagami").validate()
         with pytest.raises(ValidationError, match="std_db must be >= 0, got -1.0"):
             FadingModel.suzuki(std_db=-1.0).validate()
-        with pytest.raises(ValidationError, match="K-factor must be >= 0"):
-            FadingModel.rician_from_k(-1.0)
         for kind in FadingModel._KINDS:
             for field in ("beta", "sigma", "nu", "mean_db", "std_db"):
                 for bad in (np.nan, np.inf):

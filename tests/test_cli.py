@@ -212,6 +212,54 @@ class TestRunCommand:
         assert report["config"]["sensors"] == 16
 
 
+RUN_KEYS = ["schema", "version", "seed", "config", "sines_est", "angles_est_deg", "amplitudes",
+            "singular_values", "estimate_valid", "clamped", "band_start", "band_stop",
+            "angles_true_deg", "delays_true", "angle_errors_deg", "delay_errors",
+            "slope_median", "delay_median", "delay_mean", "unreliable_fits"]
+TRUTH_KEYS = {"angles_true_deg", "delays_true", "angle_errors_deg", "delay_errors"}
+
+
+class TestReportSchema:
+    """The exact key order of every JSON report: a reordered field changes the schema."""
+
+    def test_run_report(self, capsys):
+        assert main(["run", *SMALL]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == RUN_KEYS
+        assert main(["run", *SMALL, "--timing"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == RUN_KEYS + ["timing_s"]
+
+    def test_estimate_report(self, tmp_path, capsys):
+        data = tmp_path / "snaps.txt"
+        assert main(["simulate", *SMALL, "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", *SMALL, "--data", str(data)]) == 0
+        keys = list(json.loads(capsys.readouterr().out))
+        assert keys == [key for key in RUN_KEYS if key not in TRUTH_KEYS]
+
+    def test_montecarlo_report(self, monkeypatch, capsys):
+        from jade.prony import svd_prony
+
+        calls = {"n": 0}
+
+        def fails_second_trial(corr, cfg):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise EstimationError("prony", "injected")
+            return svd_prony(corr, cfg)
+
+        monkeypatch.setattr("jade.pipeline.svd_prony", fails_second_trial)
+        assert main(["montecarlo", *SMALL, "--trials", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["schema", "version", "config", "num_trials", "num_failed",
+                                "num_flagged", "angle_bias_deg", "angle_rmse_deg",
+                                "delay_bias", "delay_rmse", "trials"]
+        ran, failed = report["trials"]
+        assert list(ran) == ["trial", "seed", "ok", "angles_est_deg", "angle_errors_deg",
+                             "slope_median", "delay_median", "delay_errors", "estimate_valid",
+                             "unreliable_fits"]
+        assert list(failed) == ["trial", "seed", "ok", "error"]
+
+
 class TestConfigEcho:
     def test_set_can_change_the_path_count(self, capsys):
         assert main(["run", *SMALL, "--set", "angles_deg=15", "--set", "delays=4"]) == 0

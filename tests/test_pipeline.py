@@ -21,13 +21,12 @@ from jade import (
     ValidationError,
     default_scenario,
     generate_pulse,
-    load_config,
     monte_carlo,
     run_pipeline,
     scenario_from_dict,
     synthesize,
 )
-from jade.pipeline import CONFIG_KEYS, estimate, trial_seed
+from jade.pipeline import CONFIG_KEYS, estimate, read_config, trial_seed
 
 
 def small_scenario(**kw):
@@ -352,7 +351,7 @@ class TestConfigHandling:
         """
         path = tmp_path / "scenario.cfg"
         path.write_text("\n".join(line.strip() for line in text.strip().splitlines()))
-        cfg = load_config(path)
+        cfg = scenario_from_dict(read_config(path))
         assert cfg.array.num_sensors == 32
         assert cfg.num_snapshots == 50
         assert cfg.seed == 7
@@ -388,7 +387,7 @@ class TestConfigHandling:
         path = tmp_path / "bad.cfg"
         path.write_text("rolloff 0.35\n")
         with pytest.raises(ValidationError):
-            load_config(path)
+            scenario_from_dict(read_config(path))
 
     def test_fading_kinds_round_trip(self):
         for kind, extra in [
