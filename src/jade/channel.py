@@ -273,12 +273,12 @@ def synthesize(
     steering = steering_vector(arr, [p.angle_deg for p in paths])
 
     betas = fading.draw(np.random.default_rng([seed, 0]), (num_snapshots, len(paths)))
-    coef = betas[:, :, None] * steering
     if noise_var == 0:
-        # one GEMM: (kept, L) delayed spectra by (L, S*M) coefficients
-        coef_t = coef.transpose(1, 0, 2).reshape(len(paths), -1)
-        bins = (delayed[:kept] @ coef_t).reshape(kept, num_snapshots, m)
+        # one GEMM: (kept, L) delayed spectra by C-ordered (L, S*M) coefficients, no copy
+        coef = np.multiply(betas.T[:, :, None], steering[:, None, :], order="C")
+        bins = (delayed[:kept] @ coef.reshape(len(paths), -1)).reshape(kept, num_snapshots, m)
     else:
+        coef = betas[:, :, None] * steering
         # The DFT of white CN(0, noise_var) samples is white CN(0, N * noise_var) per bin.
         # Each stream fills its bins in snapshot order into one reused block, stored
         # transposed; stream 2 is never built when no bin of it is kept.

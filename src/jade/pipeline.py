@@ -293,17 +293,27 @@ def estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) ->
     count of ``snaps``) are echoed. A setting a stage rejects raises its
     ValidationError; any other stage failure is an EstimationError naming
     the stage. The report carries no truth fields and keeps the stage
-    outputs in ``artifacts``.
+    outputs in ``artifacts``, none of which refers to ``snaps``. A run of
+    :func:`run_pipeline` or :func:`monte_carlo` frees its set once
+    beamforming returns; the ``snaps`` a caller passes here lives on.
     """
+    return _estimate([snaps], pulse_wave, cfg)
+
+
+def _estimate(held: list, pulse_wave: np.ndarray, cfg: ScenarioConfig) -> RunReport:
+    """:func:`estimate` of the set that it pops from the one-item list ``held``: on
+    Python 3.10 a set passed as an argument stays on the caller's stack to the end."""
+    snaps = held.pop()
+    echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
+                snapshots=snaps.num_snapshots)
     started = time.perf_counter()
     pulse_spec = _stage("spectrum", spectrum, pulse_wave)
     band = _stage("select_band", select_band, pulse_spec, cfg.band_threshold)
     corr = _stage("correlation", estimate_correlation, snaps, band)
     modes = _stage("prony", svd_prony, corr, cfg.prony)
     beams = _stage("beamform", beamform, snaps, modes.sines)
+    del snaps
     delays = _stage("fit_delay", fit_delay, beams, pulse_spec, band)
-    echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
-                snapshots=snaps.num_snapshots)
     return RunReport(
         config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate},
         seed=cfg.seed,
@@ -344,9 +354,9 @@ def _run(cfg: ScenarioConfig, pulse_wave: np.ndarray, started: float,
          keep_artifacts: bool = False) -> RunReport:
     """:func:`run_pipeline` after the pulse, with :func:`estimate`'s echo: ``cfg`` is resolved
     and transmits ``pulse_wave``."""
-    snaps = _stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array, cfg.fading,
-                   cfg.num_snapshots, cfg.noise_var, cfg.seed, half=True)
-    report = estimate(snaps, pulse_wave, cfg)
+    report = _estimate([_stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array,
+                               cfg.fading, cfg.num_snapshots, cfg.noise_var, cfg.seed,
+                               half=True)], pulse_wave, cfg)
 
     # Truth is matched to estimates in sin(angle) order; both sides sorted.
     order = np.argsort([p.sin_angle for p in cfg.paths])

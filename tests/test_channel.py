@@ -232,16 +232,24 @@ class TestSynthesize:
         assert abs(np.mean(bins[:, :, 1:] * bins[:, :, :-1].conj())) < 0.01  # adjacent sensors
         assert np.mean(np.abs(time_series(snaps)) ** 2) == pytest.approx(noise_var, rel=0.01)
 
-    def test_noisy_synthesis_holds_one_snapshot_array(self, pulse_wave):
-        args = (pulse_wave, TWO_PATHS, ArrayConfig(64, 0.5), FadingModel.rayleigh(1.0), 200, 1.0)
-        synthesize(*args, seed=1)  # warm up
+    @pytest.mark.parametrize(
+        "noise_var, half, bound",
+        # noiseless synthesis is one GEMM whose (L, S*M) operand is 3 % of the half set
+        [(1.0, False, 1.25), (0.0, True, 1.05)],
+        ids=["noisy", "noiseless-half"],
+    )
+    def test_synthesis_holds_one_snapshot_array(self, pulse_wave, noise_var, half, bound):
+        args = (pulse_wave, TWO_PATHS, ArrayConfig(64, 0.5), FadingModel.rayleigh(1.0), 200,
+                noise_var)
+        synthesize(*args, seed=1, half=half)  # warm up
         tracemalloc.start()
         try:
-            snaps = synthesize(*args, seed=2)
+            snaps = synthesize(*args, seed=2, half=half)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * snaps.bins.nbytes
+        ratio = peak / snaps.bins.nbytes
+        assert ratio < bound, f"peak is {ratio:.3f} x the snapshot array"
 
     def test_stream_pinned(self, pulse_wave):
         # first two betas of seed 1 for each kind, and the first noise bin of
