@@ -40,6 +40,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ESTIMATION = 3
 
+DUMP_HELP = "also write correlation.csv, roots.csv and fit_path<i>.csv to --out"
+
 
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
@@ -73,36 +75,19 @@ def _write_pulse_csvs(cfg: ScenarioConfig, out_dir: Path) -> None:
     )
 
 
-def _dump_correlation(corr, out_dir: Path) -> None:
-    lags = np.arange(-(corr.num_lags - 1), corr.num_lags)
-    values = corr.two_sided()
-    _write_csv(
-        out_dir / "correlation.csv",
-        ["lag", "re", "im", "abs", "phase"],
-        zip(lags, values.real, values.imag, np.abs(values), np.angle(values)),
-    )
-
-
-def _dump_roots(modes, out_dir: Path) -> None:
-    roots = modes.roots  # the pencil's num_modes eigenvalues, in sin(angle) order
+def _write_dumps(art, out_dir: Path) -> None:
+    """The stage CSVs: the two-sided correlation, the pencil's roots (one per
+    path, in sin(angle) order) and each path's delay periodogram on its grid."""
+    lags = np.arange(-(art.correlation.num_lags - 1), art.correlation.num_lags)
+    values = art.correlation.two_sided()
+    _write_csv(out_dir / "correlation.csv", ["lag", "re", "im", "abs", "phase"],
+               zip(lags, values.real, values.imag, np.abs(values), np.angle(values)))
+    roots = art.modes.roots
     _write_csv(out_dir / "roots.csv", ["re", "im", "modulus"],
                zip(roots.real, roots.imag, np.abs(roots)))
-
-
-def _dump_fit(delays, out_dir: Path) -> None:
-    # One CSV per path: its delay periodogram on the coarse search grid.
-    for i, objective in enumerate(delays.objective):
+    for i, objective in enumerate(art.delays.objective):
         _write_csv(out_dir / f"fit_path{i + 1}.csv", ["tau", "objective"],
-                   zip(delays.tau_grid, objective))
-
-
-def _write_dumps(args, art) -> None:
-    if args.dump_correlation:
-        _dump_correlation(art.correlation, args.out)
-    if args.dump_roots:
-        _dump_roots(art.modes, args.out)
-    if args.dump_fit:
-        _dump_fit(art.delays, args.out)
+                   zip(art.delays.tau_grid, objective))
 
 
 def _emit(args, text: str, filename: str) -> None:
@@ -116,8 +101,8 @@ def _emit(args, text: str, filename: str) -> None:
 
 def _emit_report(args, report, include_timing: bool = False) -> None:
     _emit(args, report.to_json(include_timing=include_timing), "report.json")
-    if args.out:
-        _write_dumps(args, report.artifacts)
+    if args.dump:
+        _write_dumps(report.artifacts, args.out)
     print(f"elapsed: {report.timing_s:.3f} s", file=sys.stderr)
 
 
@@ -168,17 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_est)
     p_est.add_argument("--data", type=Path, required=True, help="dataset file to read")
     p_est.add_argument("--out", type=Path, help="directory for report/dumps (default: stdout only)")
-    p_est.add_argument("--dump-correlation", action="store_true")
-    p_est.add_argument("--dump-roots", action="store_true")
-    p_est.add_argument("--dump-fit", action="store_true")
+    p_est.add_argument("--dump", action="store_true", help=DUMP_HELP)
 
     p_run = sub.add_parser("run", help="synthesize + estimate in one go")
     _add_common(p_run)
     p_run.add_argument("--out", type=Path, help="directory for report/dumps (default: stdout only)")
     p_run.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
-    p_run.add_argument("--dump-correlation", action="store_true")
-    p_run.add_argument("--dump-roots", action="store_true")
-    p_run.add_argument("--dump-fit", action="store_true")
+    p_run.add_argument("--dump", action="store_true", help=DUMP_HELP)
 
     p_mc = sub.add_parser("montecarlo", help="repeated seeded runs with aggregates")
     _add_common(p_mc)
@@ -227,8 +208,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _load_scenario(args)
-    keep = args.dump_correlation or args.dump_roots or args.dump_fit
-    _emit_report(args, run_pipeline(cfg, keep_artifacts=keep), include_timing=args.timing)
+    _emit_report(args, run_pipeline(cfg, keep_artifacts=args.dump), include_timing=args.timing)
     return EXIT_OK
 
 
@@ -254,6 +234,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "dump", False) and args.out is None:
+            raise ValidationError("--dump needs --out, the directory its CSVs go to")
         return _COMMANDS[args.command](args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

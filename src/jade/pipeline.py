@@ -43,7 +43,7 @@ REPORT_SCHEMA = "jade-report/2"
 
 @dataclass
 class PipelineArtifacts:
-    """Stage outputs the ``--dump-*`` CSVs read; never serialized."""
+    """Stage outputs the ``--dump`` CSVs read; never serialized."""
 
     correlation: CorrelationSequence
     modes: ModeEstimate
@@ -245,7 +245,7 @@ class RunReport:
 
     version: str = __version__
     seed: int
-    config: dict
+    config: Optional[dict] = None  # None only in a Monte Carlo trial's report, never emitted
     sines_est: List[float]
     angles_est_deg: List[float]
     amplitudes: List[float]
@@ -297,15 +297,17 @@ def estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) ->
     :func:`run_pipeline` or :func:`monte_carlo` frees its set once
     beamforming returns; the ``snaps`` a caller passes here lives on.
     """
-    return _estimate([snaps], pulse_wave, cfg)
+    echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
+                snapshots=snaps.num_snapshots)
+    return replace(_estimate([snaps], pulse_wave, cfg),
+                   config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate})
 
 
 def _estimate(held: list, pulse_wave: np.ndarray, cfg: ScenarioConfig) -> RunReport:
-    """:func:`estimate` of the set that it pops from the one-item list ``held``: on
-    Python 3.10 a set passed as an argument stays on the caller's stack to the end."""
+    """:func:`estimate`, without the config echo, of the set that it pops from the one-item
+    list ``held``: on Python 3.10 a set passed as an argument stays on the caller's stack
+    to the end."""
     snaps = held.pop()
-    echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
-                snapshots=snaps.num_snapshots)
     started = time.perf_counter()
     pulse_spec = _stage("spectrum", spectrum, pulse_wave)
     band = _stage("select_band", select_band, pulse_spec, cfg.band_threshold)
@@ -315,7 +317,6 @@ def _estimate(held: list, pulse_wave: np.ndarray, cfg: ScenarioConfig) -> RunRep
     del snaps
     delays = _stage("fit_delay", fit_delay, beams, pulse_spec, band)
     return RunReport(
-        config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate},
         seed=cfg.seed,
         sines_est=modes.sines.tolist(),
         angles_est_deg=modes.angles_deg.tolist(),
@@ -352,7 +353,7 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
 
 def _run(cfg: ScenarioConfig, pulse_wave: np.ndarray, started: float,
          keep_artifacts: bool = False) -> RunReport:
-    """:func:`run_pipeline` after the pulse, with :func:`estimate`'s echo: ``cfg`` is resolved
+    """:func:`run_pipeline` after the pulse, without the config echo: ``cfg`` is resolved
     and transmits ``pulse_wave``."""
     report = _estimate([_stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array,
                                cfg.fading, cfg.num_snapshots, cfg.noise_var, cfg.seed,

@@ -90,7 +90,7 @@ class TestSimulateEstimate:
                 "estimate", *SMALL,
                 "--data", str(data),
                 "--out", str(out_dir),
-                "--dump-correlation", "--dump-roots", "--dump-fit",
+                "--dump",
             ]
         )
         assert code == 0
@@ -187,8 +187,7 @@ class TestRunCommand:
 
     def test_report_and_dumps_to_dir(self, tmp_path, capsys):
         code = main(
-            ["run", *SMALL, "--out", str(tmp_path), "--dump-correlation",
-             "--dump-roots", "--dump-fit", "--timing"]
+            ["run", *SMALL, "--out", str(tmp_path), "--dump", "--timing"]
         )
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
@@ -570,6 +569,24 @@ class TestExitCodes:
         # the trial seeds derive from it even when the pulse bits do not
         assert main([*command, "--snapshots", "3", "--set", "sensors=4", *bits, "--seed", "-1"]) == 2
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["estimate", "--data", "missing.txt"]])
+    def test_dump_without_out_is_2(self, capsys, monkeypatch, command):
+        # no stage runs, and estimate never opens its dataset, whose absence is another error
+        def boom(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr("jade.pipeline.generate_pulse", boom)
+        assert main([*command, *SMALL, "--dump"]) == 2
+        assert capsys.readouterr() == ("", "error: --dump needs --out, the directory its CSVs go to\n")
+
+    @pytest.mark.parametrize("flag", ["--dump-correlation", "--dump-roots", "--dump-fit"])
+    @pytest.mark.parametrize("command", [["run"], ["estimate", "--data", "snaps.txt"]])
+    def test_removed_dump_flags_are_2(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", str(tmp_path), flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_band_too_narrow_for_the_delay_fit_is_2(self, capsys):
         # the band follows from the pulse and band_threshold alone: a config error

@@ -13,12 +13,18 @@ form over the aperture, with the sensor phases 2π·d·(k − k̄) in place of
 ω_q − ω̄ and Σ_q |g_q|² in place of M. Both sums run over all N bins; the
 estimator reads only the positive band, about half the pulse energy, so
 its ratios sit above √2 even where it is efficient on that band.
+
+For several paths the bound is the joint stochastic CRB of all (θ_l, τ_l),
+with the path powers and the noise variance as nuisance parameters, by the
+Slepian–Bangs formula (Stoica & Nehorai, "Performance study of conditional
+and unconditional direction-of-arrival estimation", IEEE TASSP 1990).
 """
 
 import numpy as np
 import pytest
 
 from jade import generate_pulse, monte_carlo, scenario_from_dict, spectrum
+from jade.channel import delayed_pulse_spectrum, steering_vector
 from jade.pulse import omega_grid
 
 
@@ -40,6 +46,49 @@ def single_path_crb(cfg):
     return float(angle), float(np.sqrt(crb_delay))
 
 
+def joint_crb(cfg):
+    """√CRB of every path of ``cfg``: (angles in degrees, delays in samples).
+
+    Per snapshot the D = N·M spectra are CN(0, R), R = V P Vᴴ + ν I, with
+    v_l = (g ⊙ e^{−jωτ_l}) ⊗ a(θ_l), P = E|β|²·I and ν = N σ². The Fisher
+    matrix of (θ, τ, P, ν) is F_ij = S·tr(R⁻¹R_i R⁻¹R_j). Every R_i but ν's
+    lies in the span Q of [V, ∂V/∂θ, ∂V/∂τ], where R⁻¹ = Q C⁻¹ Qᴴ + (I − QQᴴ)/ν
+    with C = QᴴRQ, so each trace is over r×r matrices; the rest of the space
+    adds (D − r)/ν² to ν's own entry. No D×D matrix is formed.
+    """
+    cfg = cfg.resolved()
+    g = spectrum(generate_pulse(cfg.pulse))
+    n, m, num_paths = len(g), cfg.array.num_sensors, len(cfg.paths)
+    angles = [p.angle_deg for p in cfg.paths]
+    theta = np.radians(angles)
+    f = delayed_pulse_spectrum(g, [p.delay for p in cfg.paths])  # (N, L)
+    a = steering_vector(cfg.array, angles).T  # (M, L)
+    d_a = 2j * np.pi * cfg.array.spacing * np.arange(m)[:, None] * np.cos(theta) * a
+    d_f = -1j * omega_grid(n)[:, None] * f
+
+    def columns(x, y):  # column l is x_l ⊗ y_l
+        return (x[:, None, :] * y[None, :, :]).reshape(n * m, num_paths)
+
+    signatures = [columns(f, a), columns(f, d_a), columns(d_f, a)]  # V, ∂V/∂θ, ∂V/∂τ
+    q, _ = np.linalg.qr(np.hstack(signatures))
+    r = q.shape[1]
+    v, d_theta, d_tau = (q.conj().T @ x for x in signatures)  # coordinates in the span
+    power, nu = cfg.fading.mean_square(), n * cfg.noise_var
+    c_inv = np.linalg.inv(power * v @ v.conj().T + nu * np.eye(r))
+    derivatives = []  # ∂R/∂θ_l, ∂R/∂τ_l, ∂R/∂P_l, ∂R/∂ν, in the span
+    for d in (d_theta, d_tau):
+        for l in range(num_paths):
+            half = power * np.outer(d[:, l], v[:, l].conj())
+            derivatives.append(half + half.conj().T)
+    derivatives += [np.outer(v[:, l], v[:, l].conj()) for l in range(num_paths)]
+    derivatives.append(np.eye(r))
+    whitened = [c_inv @ d for d in derivatives]
+    fisher = np.array([[np.trace(x @ y).real for y in whitened] for x in whitened])
+    fisher[-1, -1] += (n * m - r) / nu**2
+    crb = np.diag(np.linalg.inv(cfg.num_snapshots * fisher))
+    return np.degrees(np.sqrt(crb[:num_paths])), np.sqrt(crb[num_paths:2 * num_paths])
+
+
 def one_path(**keys):
     return scenario_from_dict({"noise_var": 1, "angles_deg": "10", "delays": "3", **keys})
 
@@ -48,6 +97,22 @@ def test_closed_form_at_the_default_scenario():
     angle, delay = single_path_crb(one_path())
     assert angle == pytest.approx(0.00264, abs=5e-6)
     assert delay == pytest.approx(0.00186, abs=5e-6)
+
+
+def test_joint_bound_of_one_path_is_the_closed_form():
+    cfg = one_path()
+    angles, delays = joint_crb(cfg)
+    angle, delay = single_path_crb(cfg)
+    assert angles[0] == pytest.approx(angle, rel=0.01)
+    assert delays[0] == pytest.approx(delay, rel=0.01)
+
+
+def test_joint_bound_of_paths_at_one_angle_is_finite():
+    # the default delays 3 and 7 tell the two paths apart
+    angles, delays = joint_crb(scenario_from_dict({"noise_var": 1, "angles_deg": "0,0"}))
+    assert np.all(np.isfinite(angles)) and np.all(np.isfinite(delays))
+    assert angles == pytest.approx([0.0026, 0.0026], abs=1e-4)
+    assert delays == pytest.approx([0.0019, 0.0019], abs=1e-4)
 
 
 # Upper bounds on RMSE/√CRB at M=16, S=50, noise_var=1, 40 trials from base

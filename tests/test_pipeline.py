@@ -293,7 +293,7 @@ class TestMonteCarlo:
         assert calls["n"] == 1
 
     def test_config_echo_is_built_once_per_trial(self, monkeypatch):
-        # estimate builds each trial's echo; run_pipeline and monte_carlo add the full one
+        # only the code that emits a report echoes its config: no trial builds one
         calls = {"n": 0}
         real_to_dict = ScenarioConfig.to_dict
 
@@ -304,10 +304,10 @@ class TestMonteCarlo:
         monkeypatch.setattr(ScenarioConfig, "to_dict", counting)
         cfg = small_scenario(num_snapshots=5)
         run_pipeline(cfg)
-        assert calls["n"] == 2
+        assert calls["n"] == 1
         calls["n"] = 0
         monte_carlo(cfg, trials=10)
-        assert calls["n"] == 11
+        assert calls["n"] == 1
 
     def test_rejects_bad_trial_count(self):
         with pytest.raises(ValidationError):
