@@ -36,14 +36,16 @@ class DelayEstimate:
     """One delay per path from its delay periodogram.
 
     ``delay_median`` holds the delays, under the name the benchmark reads.
-    ``reliable`` is False for a path whose Newton refinement met a
-    non-concave J or left the coarse peak by more than one grid step; its
-    delay is then the coarse peak. ``objective`` is each path's J on the
-    coarse grid ``tau_grid`` (samples, ascending, one period [-N/2, N/2)),
-    shaped (path, grid point).
+    A path whose Newton refinement met a non-concave J or left the coarse
+    peak by more than one grid step keeps the coarse peak as its delay, and
+    ``reliable`` is False for it; no report carries ``reliable``.
+    ``objective`` is each path's J on the coarse grid ``tau_grid`` (samples,
+    ascending, one period [-N/2, N/2)), shaped (path, grid point).
     """
 
     delay_median: np.ndarray
+    # Read only by perfbench's replay (delay.reliable_fit_frac); delete it once
+    # the replay traces run_pipeline instead (ROADMAP item 1).
     reliable: np.ndarray
     tau_grid: np.ndarray
     objective: np.ndarray

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 CONFIG_SCHEMA = 1
-REPORT_SCHEMA = "jade-report/2"
+REPORT_SCHEMA = "jade-report/3"
 
 
 @dataclass
@@ -261,7 +261,6 @@ class RunReport:
     slope_median: List[float]
     delay_median: List[float]
     delay_mean: List[float]
-    unreliable_fits: int
     timing_s: float = 0.0
     artifacts: Optional[PipelineArtifacts] = None
 
@@ -330,7 +329,6 @@ def _estimate(held: list, pulse_wave: np.ndarray, cfg: ScenarioConfig) -> RunRep
         # the benchmark still reads both names of the one delay per path
         delay_median=delays.delay_median.tolist(),
         delay_mean=delays.delay_median.tolist(),
-        unreliable_fits=int(np.sum(~delays.reliable)),
         timing_s=time.perf_counter() - started,
         artifacts=PipelineArtifacts(corr, modes, delays),
     )
@@ -407,7 +405,7 @@ class MonteCarloReport:
 
 # The run-report fields a Monte-Carlo trial entry copies, in its JSON order.
 TRIAL_FIELDS = ("angles_est_deg", "angle_errors_deg", "slope_median", "delay_median",
-                "delay_errors", "estimate_valid", "unreliable_fits")
+                "delay_errors", "estimate_valid")
 
 
 def _run_trial(cfg: ScenarioConfig, pulse_wave: np.ndarray, trial: int) -> dict:

@@ -198,11 +198,10 @@ class TestMonteCarlo:
         # trials share the base config's resolved pulse bits; only the
         # fading/noise seed is re-derived per trial
         direct = run_pipeline(replace(cfg.resolved(), seed=trial_seed(cfg.seed, 0)))
-        # every key of the trial but its index, seed and status is the report's,
-        # the delay verdict included
+        # every key of the trial but its index, seed and status is the report's
         entry = mc.trials[0]
         fields = set(entry) - {"trial", "seed", "ok"}
-        assert "unreliable_fits" in fields and "angles_est_deg" in fields
+        assert "delay_median" in fields and "angles_est_deg" in fields
         assert {k: entry[k] for k in fields} == {k: direct.to_dict()[k] for k in fields}
         assert mc.num_failed == 0
         assert mc.angle_rmse_deg == [abs(e) for e in direct.angle_errors_deg]
