@@ -193,10 +193,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    snaps = load_dataset(args.data)
-    # estimate() reads the array of the dataset, never the config's sensors and spacing
+    # checked before the dataset is parsed; estimate() reads its array, not the config's
     cfg = _load_scenario(args).resolved()
     wave = generate_pulse(cfg.pulse)
+    snaps = load_dataset(args.data)
     if len(wave) != snaps.num_samples:
         raise ValidationError(
             f"dataset has N={snaps.num_samples} samples but the configured "

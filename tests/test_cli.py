@@ -579,6 +579,19 @@ class TestExitCodes:
         assert main([*command, *SMALL, "--dump"]) == 2
         assert capsys.readouterr() == ("", "error: --dump needs --out, the directory its CSVs go to\n")
 
+    @pytest.mark.parametrize("setting, message", [
+        ("sensors=abc", "error: sensors: expected an integer, got 'abc'\n"),
+        ("bits_seed=-1", "error: bits_seed must be >= 0, got -1\n"),
+    ], ids=["scenario", "pulse"])
+    def test_estimate_checks_its_config_before_the_dataset(self, capsys, monkeypatch,
+                                                           setting, message):
+        def boom(*args, **kwargs):
+            raise AssertionError("the dataset was parsed")
+
+        monkeypatch.setattr("jade.cli.load_dataset", boom)
+        assert main(["estimate", "--data", "snaps.txt", "--set", setting]) == 2
+        assert capsys.readouterr() == ("", message)
+
     @pytest.mark.parametrize("flag", ["--dump-correlation", "--dump-roots", "--dump-fit"])
     @pytest.mark.parametrize("command", [["run"], ["estimate", "--data", "snaps.txt"]])
     def test_removed_dump_flags_are_2(self, tmp_path, capsys, command, flag):
