@@ -1,15 +1,15 @@
 """Per-path beamforming and maximum-likelihood delay estimation.
 
-Steering the array at an estimated angle isolates that path's spectrum up
-to the fading coefficient and a small leakage term from the other paths.
-Matched-filtering that beam by the known pulse spectrum and phase-aligning
-it at a trial delay tau gives one sum per snapshot; the powers of those
-sums, added over the snapshots, form the delay periodogram J(tau), whose
-maximum is the path's delay. This is the delay half of Li & Stoica's RELAX
-(IEEE TSP 1996) and of Vanderveen, Papadias & Paulraj's JADE (IEEE Commun.
-Lett. 1997). Powers are added rather than beams, because averaging the
-beams across fading snapshots would cancel the signal (the fading
-coefficients have zero mean).
+Each path's beam is its row of the steering matrix's left inverse: unit gain
+at its estimated angle and nulls at the others', so it holds that path's
+spectrum up to the fading coefficient. Matched-filtering the beam by the known
+pulse spectrum and phase-aligning it at a trial delay tau gives one sum per
+snapshot; the powers of those sums, added over the snapshots, form the delay
+periodogram J(tau), whose maximum is the path's delay. This is the delay half
+of Li & Stoica's RELAX (IEEE TSP 1996) and of Vanderveen, Papadias & Paulraj's
+JADE (IEEE Commun. Lett. 1997). Powers are added rather than beams, because
+averaging the beams across fading snapshots would cancel the signal (the
+fading coefficients have zero mean).
 """
 
 from __future__ import annotations
@@ -36,26 +36,26 @@ class DelayEstimate:
     """One delay per path from its delay periodogram.
 
     ``delay_median`` holds the delays, under the name the benchmark reads.
-    A path whose Newton refinement met a non-concave J or left the coarse
-    peak by more than one grid step keeps the coarse peak as its delay, and
-    ``reliable`` is False for it; no report carries ``reliable``.
-    ``objective`` is each path's J on the coarse grid ``tau_grid`` (samples,
-    ascending, one period [-N/2, N/2)), shaped (path, grid point).
+    ``reliable`` is False for a path whose Newton refinement met a
+    non-concave J or left the coarse peak by more than one grid step; its
+    delay is then the coarse peak. ``objective`` is each path's J on the
+    coarse grid ``tau_grid`` (samples, ascending, one period [-N/2, N/2)),
+    shaped (path, grid point).
     """
 
     delay_median: np.ndarray
-    # Read only by perfbench's replay (delay.reliable_fit_frac); delete it once
-    # the replay traces run_pipeline instead (ROADMAP item 1).
+    # No report carries it; perfbench's replay reads it (ROADMAP item 1 retires it).
     reliable: np.ndarray
     tau_grid: np.ndarray
     objective: np.ndarray
 
 
 def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> np.ndarray:
-    """Steer the array at each sin(angle) value and average over sensors.
+    """Zero-forced beams: unit gain at each sin(angle) value, nulls at the others.
 
-    Returns the complex (snapshot, path, bin) array whose path i, bin q is
-    (1/M) * sum_k exp(-j*2*pi*spacing*(k-1)*s_i) * x_k(w_q).
+    Returns the complex (snapshot, path, bin) array sum_k W[i, k] * x_k(w_q), where
+    W = pinv(A) for the (M, L) steering matrix A[k, i] = exp(j*2*pi*spacing*(k-1)*s_i),
+    so W @ A = I; for one path W is the matched exp(-j*2*pi*spacing*(k-1)*s) / M.
     """
     sines = np.asarray(sines, dtype=float)
     if sines.ndim != 1 or sines.size == 0:
@@ -63,8 +63,8 @@ def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> np.ndarray:
     if np.abs(sines).max() > 1.0:
         raise ValidationError("|sin(angle)| values must not exceed 1")
     n, s_count, m = snaps.bins.shape
-    k = np.arange(m)
-    weights = np.exp(-2j * np.pi * snaps.array.spacing * np.outer(sines, k)) / m
+    steer = np.exp(2j * np.pi * snaps.array.spacing * np.outer(np.arange(m), sines))  # (M, L)
+    weights = np.linalg.pinv(steer)
     # One GEMM over all (bin, snapshot) rows; as rows @ weights.T it left 25 MB more resident.
     values = (weights @ snaps.bins.reshape(-1, m).T).reshape(-1, n, s_count)
     return values.transpose(2, 0, 1)

@@ -100,7 +100,10 @@ class TestBeamform:
         )
         sines = np.sin(np.radians([-29.0, 5.5, 41.0]))
         bf = beamform(snaps, sines)
-        weights = np.exp(-2j * np.pi * 0.5 * np.outer(sines, np.arange(16))) / 16
+        # the left inverse of the steering matrix: unit gain on each path, nulls on the others
+        steer = np.exp(2j * np.pi * 0.5 * np.outer(np.arange(16), sines))
+        weights = np.linalg.solve(steer.conj().T @ steer, steer.conj().T)
+        assert np.abs(weights @ steer - np.eye(3)).max() < 1e-12
         ref = np.stack([np.einsum("lk,kn->ln", weights, x) for x in spectra(snaps)])
         assert isinstance(bf, np.ndarray) and bf.dtype == complex
         assert bf.shape == ref.shape == (7, 3, len(wave))
