@@ -296,18 +296,16 @@ def estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) ->
     :func:`run_pipeline` or :func:`monte_carlo` frees its set once
     beamforming returns; the ``snaps`` a caller passes here lives on.
     """
+    started = time.perf_counter()
     echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
                 snapshots=snaps.num_snapshots)
-    return replace(_estimate([snaps], pulse_wave, cfg),
-                   config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate})
+    return replace(_estimate(snaps, pulse_wave, cfg),
+                   config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate},
+                   timing_s=time.perf_counter() - started)
 
 
-def _estimate(held: list, pulse_wave: np.ndarray, cfg: ScenarioConfig) -> RunReport:
-    """:func:`estimate`, without the config echo, of the set that it pops from the one-item
-    list ``held``: on Python 3.10 a set passed as an argument stays on the caller's stack
-    to the end."""
-    snaps = held.pop()
-    started = time.perf_counter()
+def _estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) -> RunReport:
+    """:func:`estimate` without echo or timing; frees a set no caller holds after beamforming."""
     pulse_spec = _stage("spectrum", spectrum, pulse_wave)
     band = _stage("select_band", select_band, pulse_spec, cfg.band_threshold)
     corr = _stage("correlation", estimate_correlation, snaps, band)
@@ -329,7 +327,6 @@ def _estimate(held: list, pulse_wave: np.ndarray, cfg: ScenarioConfig) -> RunRep
         # the benchmark still reads both names of the one delay per path
         delay_median=delays.delay_median.tolist(),
         delay_mean=delays.delay_median.tolist(),
-        timing_s=time.perf_counter() - started,
         artifacts=PipelineArtifacts(corr, modes, delays),
     )
 
@@ -346,16 +343,15 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
     cfg = cfg.resolved()
     started = time.perf_counter()
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
-    return replace(_run(cfg, pulse_wave, started, keep_artifacts), config=cfg.to_dict())
+    return replace(_run(cfg, pulse_wave, keep_artifacts), config=cfg.to_dict(),
+                   timing_s=time.perf_counter() - started)
 
 
-def _run(cfg: ScenarioConfig, pulse_wave: np.ndarray, started: float,
-         keep_artifacts: bool = False) -> RunReport:
-    """:func:`run_pipeline` after the pulse, without the config echo: ``cfg`` is resolved
-    and transmits ``pulse_wave``."""
-    report = _estimate([_stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array,
-                               cfg.fading, cfg.num_snapshots, cfg.noise_var, cfg.seed,
-                               half=True)], pulse_wave, cfg)
+def _run(cfg: ScenarioConfig, pulse_wave: np.ndarray, keep_artifacts: bool = False) -> RunReport:
+    """:func:`run_pipeline` without echo or timing, for a resolved ``cfg`` and its pulse."""
+    report = _estimate(_stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array,
+                              cfg.fading, cfg.num_snapshots, cfg.noise_var, cfg.seed,
+                              half=True), pulse_wave, cfg)
 
     # Truth is matched to estimates in sin(angle) order; both sides sorted.
     order = np.argsort([p.sin_angle for p in cfg.paths])
@@ -367,7 +363,6 @@ def _run(cfg: ScenarioConfig, pulse_wave: np.ndarray, started: float,
         delays_true=delays_true,
         angle_errors_deg=(np.asarray(report.angles_est_deg) - angles_true).tolist(),
         delay_errors=(np.asarray(report.delay_median) - delays_true).tolist(),
-        timing_s=time.perf_counter() - started,
         artifacts=report.artifacts if keep_artifacts else None,
     )
 
@@ -412,7 +407,7 @@ def _run_trial(cfg: ScenarioConfig, pulse_wave: np.ndarray, trial: int) -> dict:
     seed = trial_seed(cfg.seed, trial)
     entry = {"trial": trial, "seed": seed}
     try:
-        report = _run(replace(cfg, seed=seed), pulse_wave, time.perf_counter())
+        report = _run(replace(cfg, seed=seed), pulse_wave)
     except EstimationError as exc:  # a ValidationError is the config's: it fails the whole call
         entry.update({"ok": False, "error": str(exc)})
         return entry
