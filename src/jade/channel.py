@@ -272,28 +272,31 @@ def synthesize(
     delayed = delayed_pulse_spectrum(spectrum(pulse), [p.delay for p in paths])
     steering = steering_vector(arr, [p.angle_deg for p in paths])
 
-    betas = fading.draw(np.random.default_rng([seed, 0]), (num_snapshots, len(paths)))
-    if noise_var == 0:
-        # one GEMM: (kept, L) delayed spectra by C-ordered (L, S*M) coefficients, no copy
-        coef = np.multiply(betas.T[:, :, None], steering[:, None, :], order="C")
-        bins = (delayed[:kept] @ coef.reshape(len(paths), -1)).reshape(kept, num_snapshots, m)
-    else:
-        coef = betas[:, :, None] * steering
-        # The DFT of white CN(0, noise_var) samples is white CN(0, N * noise_var) per bin.
-        # Each stream fills its bins in snapshot order into one reused block, stored
-        # transposed; stream 2 is never built when no bin of it is kept.
-        bins = np.empty((kept, num_snapshots, m), dtype=complex)
-        streams = ((1, 0, upper), (2, upper, kept)) if kept > upper else ((1, 0, upper),)
-        for key, first, stop in streams:
-            noise_rng = np.random.default_rng([seed, key])
-            step = max(1, NOISE_ROWS // (stop - first))
-            chunk = np.empty((min(step, num_snapshots), stop - first, m), dtype=complex)
-            for start in range(0, num_snapshots, step):
-                block = chunk[: num_snapshots - start]
-                noise_rng.standard_normal(out=block.view(float))
-                block *= np.sqrt(n * noise_var / 2.0)
-                block += delayed[first:stop] @ coef[start:start + len(block)]
-                bins[first:stop, start:start + len(block)] = block.transpose(1, 0, 2)
+    try:
+        betas = fading.draw(np.random.default_rng([seed, 0]), (num_snapshots, len(paths)))
+        if noise_var == 0:
+            # one GEMM: (kept, L) delayed spectra by C-ordered (L, S*M) coefficients, no copy
+            coef = np.multiply(betas.T[:, :, None], steering[:, None, :], order="C")
+            bins = (delayed[:kept] @ coef.reshape(len(paths), -1)).reshape(kept, num_snapshots, m)
+        else:
+            coef = betas[:, :, None] * steering
+            # The DFT of white CN(0, noise_var) samples is white CN(0, N * noise_var) per bin.
+            # Each stream fills its bins in snapshot order into one reused block, stored
+            # transposed; stream 2 is never built when no bin of it is kept.
+            bins = np.empty((kept, num_snapshots, m), dtype=complex)
+            streams = ((1, 0, upper), (2, upper, kept)) if kept > upper else ((1, 0, upper),)
+            for key, first, stop in streams:
+                noise_rng = np.random.default_rng([seed, key])
+                step = max(1, NOISE_ROWS // (stop - first))
+                chunk = np.empty((min(step, num_snapshots), stop - first, m), dtype=complex)
+                for start in range(0, num_snapshots, step):
+                    block = chunk[: num_snapshots - start]
+                    noise_rng.standard_normal(out=block.view(float))
+                    block *= np.sqrt(n * noise_var / 2.0)
+                    block += delayed[first:stop] @ coef[start:start + len(block)]
+                    bins[first:stop, start:start + len(block)] = block.transpose(1, 0, 2)
+    except MemoryError as exc:  # the sizes are settings: too large is a bad setting
+        raise ValidationError(f"snapshots={num_snapshots} on {m} sensors: {exc}") from exc
 
     return SnapshotSet(bins=bins, array=arr, betas=betas, half=half)
 
@@ -355,7 +358,10 @@ def load_dataset(path) -> SnapshotSet:
             raise ValidationError(
                 f"dataset header needs S >= 1 and N >= 2, got S={s_count} N={n}"
             )
-        bins = np.empty((n, s_count, m), dtype=complex)
+        try:
+            bins = np.empty((n, s_count, m), dtype=complex)
+        except MemoryError as exc:
+            raise ValidationError(f"dataset header M={m} N={n} S={s_count}: {exc}") from exc
         series = np.empty((m, n), dtype=complex)
         for s in range(s_count):
             for k in range(m):

@@ -567,6 +567,14 @@ class TestDatasetIO:
         with pytest.raises(ValidationError):
             load_dataset(path)
 
+    def test_rejects_a_header_larger_than_memory(self, tmp_path):
+        # 8.2e15 bytes of bins, past any address space, so nothing is touched; the
+        # data line is not a number, so a loader that parsed it would say so instead
+        path = tmp_path / "huge.txt"
+        path.write_text("JADE1 M=4 N=128 S=1000000000000 delta=0.5\nabc:0\n")
+        with pytest.raises(ValidationError, match="dataset header M=4 N=128 S=1000000000000"):
+            load_dataset(path)
+
     def test_rejects_non_numeric_sample(self, tmp_path):
         path = tmp_path / "bad.txt"
         for sample in ("abc", "nan", "inf", "-inf"):

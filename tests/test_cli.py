@@ -450,6 +450,26 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    # Sizes above 2**47 bytes, past the address space of x86-64 and arm64, so the
+    # allocation fails at once whatever the overcommit setting and nothing is touched:
+    # the header asks for 8.2e15 bytes of bins, the snapshot count for 3.2e16 bytes of
+    # fading draws.
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "run", "montecarlo"])
+    def test_size_that_cannot_be_allocated_is_2(self, tmp_path, capsys, command):
+        data = tmp_path / "huge.txt"
+        data.write_text("JADE1 M=4 N=128 S=1000000000000 delta=0.5\n" + "0:0," * 127 + "0:0\n")
+        huge = ["--set", "sensors=8", "--set", "snapshots=1000000000000000"]
+        argv = {"estimate": ["estimate", "--data", str(data)],
+                "simulate": ["simulate", *huge, "--out", str(tmp_path / "out.txt")],
+                "run": ["run", *huge],
+                "montecarlo": ["montecarlo", "--trials", "2", *huge]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "Unable to allocate" in captured.err
+        assert not (tmp_path / "out.txt").exists()
+
     def test_non_numeric_value_in_config_file_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("sensors = eight\n")
