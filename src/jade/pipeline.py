@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -432,7 +433,12 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     cfg = cfg.resolved()
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
-    results = [_run_trial(cfg, pulse_wave, t) for t in range(trials)]
+    # synthesis's check of the array, once per call: any aliasing warning is issued here
+    _stage("synthesize", cfg.array.validate)
+    with warnings.catch_warnings():
+        # and not again by each trial's synthesis of the same array
+        warnings.filterwarnings("ignore", message="element spacing")
+        results = [_run_trial(cfg, pulse_wave, t) for t in range(trials)]
 
     ok = [r for r in results if r["ok"]]
     angle_bias = angle_rmse = delay_bias = delay_rmse = None

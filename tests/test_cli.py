@@ -380,15 +380,18 @@ def test_aliasing_warning_is_printed_once(command):
 
 
 def test_aliasing_warning_is_printed_once_whatever_the_filter():
+    # every warning is shown, so this counts the warnings issued: one for a run of
+    # three paths, and one for a Monte Carlo call whose three trials share the array
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-m", "jade.cli", "run", *SMALL, "--set", "spacing=0.6",
-         "--set", "angles_deg=-10,20,40", "--set", "delays=1,2,3"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "always"},
-    )
-    assert out.returncode == 0
-    assert sum("exceeds 0.5" in line for line in out.stderr.splitlines()) == 1
+    for command in (["run", "--set", "angles_deg=-10,20,40", "--set", "delays=1,2,3"],
+                    ["montecarlo", "--trials", "3"]):
+        out = subprocess.run(
+            [sys.executable, "-m", "jade.cli", *command, *SMALL, "--set", "spacing=0.6"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "always"},
+        )
+        assert out.returncode == 0, command
+        assert sum("exceeds 0.5" in line for line in out.stderr.splitlines()) == 1, command
 
 
 class TestMonteCarloCommand:

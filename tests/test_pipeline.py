@@ -40,6 +40,20 @@ def small_scenario(**kw):
     return replace(base, **fields)
 
 
+def peak_over_half_set(call, cfg) -> float:
+    """The tracemalloc peak of ``call(cfg)``, after a warm-up call, over the size of the
+    set a run holds: bins 0..N/2 of every snapshot and sensor (13.31 MB at the default)."""
+    half_set = 16 * (cfg.pulse.num_samples // 2 + 1) * cfg.num_snapshots * cfg.array.num_sensors
+    call(cfg)  # warm up
+    tracemalloc.start()
+    try:
+        call(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / half_set
+
+
 class TestRunPipeline:
     def test_default_scenario_seed1(self):
         report = run_pipeline(default_scenario())
@@ -109,18 +123,9 @@ class TestRunPipeline:
 
     def test_peak_memory_is_near_one_snapshot_set(self):
         # a run holds the half set (bins 0..N/2) and little beside it, and drops
-        # it before the delay stage; the default's 65 x 200 x 64 complex bins
-        # are 13.31 MB
-        cfg = default_scenario()
-        half_set = 16 * (cfg.pulse.num_samples // 2 + 1) * cfg.num_snapshots * cfg.array.num_sensors
-        run_pipeline(cfg)  # warm up
-        tracemalloc.start()
-        try:
-            run_pipeline(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.10 * half_set, f"peak is {peak / half_set:.3f} x the half set"
+        # it before the delay stage
+        ratio = peak_over_half_set(run_pipeline, default_scenario())
+        assert ratio < 1.10, f"peak is {ratio:.3f} x the half set"
 
     def test_leaves_numpy_ma_unimported(self):
         # np.median imports numpy.ma, which then stays resident (about 1.2 MB);
@@ -205,6 +210,12 @@ class TestMonteCarlo:
         assert {k: entry[k] for k in fields} == {k: direct.to_dict()[k] for k in fields}
         assert mc.num_failed == 0
         assert mc.angle_rmse_deg == [abs(e) for e in direct.angle_errors_deg]
+
+    def test_peak_memory_is_near_one_snapshot_set(self):
+        # a trial frees its set before the next trial synthesizes one, and a trial
+        # entry keeps only a few numbers
+        ratio = peak_over_half_set(lambda cfg: monte_carlo(cfg, trials=2), default_scenario())
+        assert ratio < 1.10, f"peak is {ratio:.3f} x the half set"
 
     def test_four_trial_delay_table(self):
         mc = monte_carlo(small_scenario(), trials=4)
