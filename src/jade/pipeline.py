@@ -433,11 +433,9 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     cfg = cfg.resolved()
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
-    # synthesis's check of the array, once per call: any aliasing warning is issued here
-    _stage("synthesize", cfg.array.validate)
+    _stage("synthesize", cfg.array.validate)  # the trials' array check, and its warning, once
     with warnings.catch_warnings():
-        # and not again by each trial's synthesis of the same array
-        warnings.filterwarnings("ignore", message="element spacing")
+        warnings.filterwarnings("ignore", message="element spacing")  # not again in each trial
         results = [_run_trial(cfg, pulse_wave, t) for t in range(trials)]
 
     ok = [r for r in results if r["ok"]]

@@ -453,8 +453,8 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error:" in captured.err
 
-    # Sizes above 2**47 bytes, past the address space of x86-64 and arm64, so the
-    # allocation fails at once whatever the overcommit setting and nothing is touched:
+    # Sizes above 2**47 bytes, more than a Linux process's default address space, so
+    # the allocation fails at once whatever the overcommit setting and nothing is touched:
     # the header asks for 8.2e15 bytes of bins, the snapshot count for 3.2e16 bytes of
     # fading draws.
     @pytest.mark.parametrize("command", ["estimate", "simulate", "run", "montecarlo"])
