@@ -111,7 +111,7 @@ class FadingModel:
     sigma: float = 1.0
     nu: float = 0.0
     mean_db: float = 0.0
-    std_db: float = 0.0
+    std_db: float = 6.0
 
     _KINDS = ("deterministic", "rayleigh", "rician", "suzuki")
 

@@ -196,13 +196,7 @@ def _cmd_estimate(args) -> int:
     # checked before the dataset is parsed; estimate() reads its array, not the config's
     cfg = _load_scenario(args).resolved()
     wave = generate_pulse(cfg.pulse)
-    snaps = load_dataset(args.data)
-    if len(wave) != snaps.num_samples:
-        raise ValidationError(
-            f"dataset has N={snaps.num_samples} samples but the configured "
-            f"pulse has N={len(wave)}"
-        )
-    _emit_report(args, estimate(snaps, wave, cfg))
+    _emit_report(args, estimate(load_dataset(args.data), wave, cfg))
     return EXIT_OK
 
 

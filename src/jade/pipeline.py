@@ -286,22 +286,27 @@ def _stage(name: str, fn, *args, **kwargs):
 def estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) -> RunReport:
     """Estimate angles and delays from ``snaps`` for the known pulse samples ``pulse_wave``.
 
-    Stages: pulse spectrum, band selection, spatial correlation, matrix
-    pencil (angles), beamforming, delay periodogram (delays). ``cfg`` must be
-    resolved; only its estimation settings are read, and only those (the
-    :data:`CONFIG_KEYS` marked ``estimate``, with the array and snapshot
-    count of ``snaps``) are echoed. A setting a stage rejects raises its
-    ValidationError; any other stage failure is an EstimationError naming
-    the stage. The report carries no truth fields and keeps the stage
-    outputs in ``artifacts``, none of which refers to ``snaps``. A run of
-    :func:`run_pipeline` or :func:`monte_carlo` frees its set once
-    beamforming returns; the ``snaps`` a caller passes here lives on.
+    Stages: pulse spectrum, band selection, spatial correlation, matrix pencil
+    (angles), beamforming, delay periodogram (delays). ``snaps`` must hold the
+    pulse's N bins, or N/2+1 if ``half`` (else a ValidationError); as in
+    :func:`run_pipeline`, only bins 0..N/2 are read. ``cfg`` must be resolved;
+    only its estimation settings are read, and only those (the
+    :data:`CONFIG_KEYS` marked ``estimate``, with the array and snapshot count
+    of ``snaps``) are echoed. A setting a stage rejects raises its
+    ValidationError; any other stage failure is an EstimationError naming the
+    stage. The report carries no truth fields and keeps the stage outputs in
+    ``artifacts``, none of which refers to ``snaps``. A run of
+    :func:`run_pipeline` or :func:`monte_carlo` frees its set once beamforming
+    returns; the ``snaps`` a caller passes here lives on.
     """
     started = time.perf_counter()
+    n = len(pulse_wave)
+    if snaps.num_samples != (n // 2 + 1 if snaps.half else n):
+        raise ValidationError(f"a set of {snaps.num_samples} bins does not fit a pulse of N={n}")
     echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
                 snapshots=snaps.num_snapshots)
-    return replace(_estimate(snaps, pulse_wave, cfg),
-                   config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate},
+    report = _estimate(replace(snaps, bins=snaps.bins[:n // 2 + 1], half=True), pulse_wave, cfg)
+    return replace(report, config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate},
                    timing_s=time.perf_counter() - started)
 
 
@@ -429,8 +434,8 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
     false) are counted and kept in them. A setting a stage rejects fails the
     whole call.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
     cfg = cfg.resolved()
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
     _stage("synthesize", cfg.array.validate)  # the trials' array check, and its warning, once

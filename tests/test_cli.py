@@ -146,11 +146,13 @@ class TestSimulateEstimate:
     def test_estimate_rejects_mismatched_pulse(self, tmp_path, capsys):
         data = tmp_path / "snaps.txt"
         main(["simulate", *SMALL, "--out", str(data)])
+        capsys.readouterr()
         code = main(
             ["estimate", *SMALL, "--set", "symbols=16", "--data", str(data)]
         )
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     # S=1 leaves the file's second snapshot as lines beyond the header's S*M
     @pytest.mark.parametrize("field", ["S=-1", "delta=0.0", "M=1", "delta=nan", "S=1", "M=abc"])

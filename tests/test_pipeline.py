@@ -26,7 +26,7 @@ from jade import (
     scenario_from_dict,
     synthesize,
 )
-from jade.pipeline import CONFIG_KEYS, estimate, read_config, trial_seed
+from jade.pipeline import CONFIG_KEYS, _estimate, estimate, read_config, trial_seed
 
 
 def small_scenario(**kw):
@@ -196,6 +196,44 @@ class TestRunPipeline:
         assert report.artifacts.delays.objective.shape == (len(cfg.paths), 2 * 128)
 
 
+class TestEstimate:
+    def full_and_half(self, cfg):
+        wave = generate_pulse(cfg.pulse)
+        return wave, [synthesize(wave, cfg.paths, cfg.array, cfg.fading, cfg.num_snapshots,
+                                 cfg.noise_var, cfg.seed, half=half) for half in (False, True)]
+
+    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+    def test_rejects_a_pulse_of_another_length(self, half):
+        # a 136-sample pulse on a 128-bin set used to return delays 3.44 / 7.69
+        # (truth 3 / 7) with estimate_valid true
+        cfg = small_scenario().resolved()
+        _, sets = self.full_and_half(cfg)
+        other = replace(cfg, pulse=replace(cfg.pulse, symbol_count=34))
+        with pytest.raises(ValidationError, match="does not fit a pulse of N=136"):
+            estimate(sets[half], generate_pulse(other.pulse), other)
+
+    @pytest.mark.parametrize("noise_var", [0.0, 0.5], ids=["noiseless", "noisy"])
+    def test_a_half_set_gives_the_report_of_the_full_set(self, noise_var):
+        cfg = small_scenario(noise_var=noise_var).resolved()
+        wave, (full, half) = self.full_and_half(cfg)
+        assert half.half and half.num_samples == 65
+        assert estimate(half, wave, cfg).to_json() == estimate(full, wave, cfg).to_json()
+
+    def test_the_stages_read_a_view_of_bins_0_to_n_half(self, monkeypatch):
+        cfg = small_scenario().resolved()
+        wave, (full, _) = self.full_and_half(cfg)
+        read = []
+
+        def capture(snaps, *args):
+            read.append(snaps)
+            return _estimate(snaps, *args)
+
+        monkeypatch.setattr("jade.pipeline._estimate", capture)
+        estimate(full, wave, cfg)
+        assert read[0].bins.shape == (65, 20, 16) and read[0].half
+        assert np.shares_memory(read[0].bins, full.bins)
+
+
 class TestMonteCarlo:
     def test_single_trial_matches_direct_run(self):
         cfg = small_scenario()
@@ -320,8 +358,10 @@ class TestMonteCarlo:
         assert calls["n"] == 1
 
     def test_rejects_bad_trial_count(self):
-        with pytest.raises(ValidationError):
-            monte_carlo(small_scenario(), trials=0)
+        # a count that is not an integer is the same typed error as one below 1
+        for trials in (0, 2.5, "3"):
+            with pytest.raises(ValidationError, match="trials must be an integer >= 1"):
+                monte_carlo(small_scenario(), trials=trials)
 
 
 class TestConfigHandling:
@@ -418,6 +458,7 @@ class TestConfigHandling:
         assert scenario_from_dict({"fading": "rayleigh"}).fading == FadingModel.rayleigh()
         assert scenario_from_dict({"fading": "rician"}).fading == FadingModel.rician(0.0, 1.0)
         assert scenario_from_dict({"fading": "suzuki"}).fading == FadingModel.suzuki()
+        assert FadingModel(kind="suzuki") == FadingModel.suzuki()
 
     @pytest.mark.parametrize(
         "kind,key",
