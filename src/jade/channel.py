@@ -115,22 +115,6 @@ class FadingModel:
 
     _KINDS = ("deterministic", "rayleigh", "rician", "suzuki")
 
-    @classmethod
-    def deterministic(cls, beta: complex = 1.0 + 0.0j) -> "FadingModel":
-        return cls(kind="deterministic", beta=complex(beta))
-
-    @classmethod
-    def rayleigh(cls, sigma: float = 1.0) -> "FadingModel":
-        return cls(kind="rayleigh", sigma=sigma)
-
-    @classmethod
-    def rician(cls, nu: float, sigma: float) -> "FadingModel":
-        return cls(kind="rician", nu=nu, sigma=sigma)
-
-    @classmethod
-    def suzuki(cls, sigma: float = 1.0, mean_db: float = 0.0, std_db: float = 6.0) -> "FadingModel":
-        return cls(kind="suzuki", sigma=sigma, mean_db=mean_db, std_db=std_db)
-
     def validate(self) -> None:
         if self.kind not in self._KINDS:
             raise ValidationError(f"unknown fading kind {self.kind!r}; one of {self._KINDS}")
@@ -185,14 +169,16 @@ class SnapshotSet:
     ``bins`` is C-contiguous (frequency bin, snapshot, sensor), so the sensor
     vectors of a run of bins are one block. It is the only in-memory form:
     the time series exists only in a dataset file, written and read one
-    snapshot at a time. ``betas`` holds the drawn (snapshot, path) fading
-    coefficients of a synthesized set; loaded sets have ``None``. ``half``
-    marks a set of bins 0..N/2 only (``synthesize(half=True)``), whose
-    ``num_samples`` counts those bins; it cannot be saved.
+    snapshot at a time. The sensor count is ``bins.shape[2]``; ``spacing``
+    is that of the :class:`ArrayConfig` checked before the set was built.
+    ``betas`` holds the drawn (snapshot, path) fading coefficients of a
+    synthesized set; loaded sets have ``None``. ``half`` marks a set of bins
+    0..N/2 only (``synthesize(half=True)``), whose ``num_samples`` counts
+    those bins; it cannot be saved.
     """
 
     bins: np.ndarray
-    array: ArrayConfig
+    spacing: float
     betas: Optional[np.ndarray] = None
     half: bool = False
 
@@ -298,7 +284,7 @@ def synthesize(
     except MemoryError as exc:  # the sizes are settings: too large is a bad setting
         raise ValidationError(f"snapshots={num_snapshots} on {m} sensors: {exc}") from exc
 
-    return SnapshotSet(bins=bins, array=arr, betas=betas, half=half)
+    return SnapshotSet(bins=bins, spacing=arr.spacing, betas=betas, half=half)
 
 
 def save_dataset(snaps: SnapshotSet, path) -> None:
@@ -312,9 +298,7 @@ def save_dataset(snaps: SnapshotSet, path) -> None:
         raise ValidationError("a half set (bins 0..N/2 only) cannot be saved as a dataset")
     n, s_count, m = snaps.bins.shape
     with open(path, "w") as fh:
-        fh.write(
-            f"{DATASET_MAGIC} M={m} N={n} S={s_count} delta={float(snaps.array.spacing)!r}\n"
-        )
+        fh.write(f"{DATASET_MAGIC} M={m} N={n} S={s_count} delta={float(snaps.spacing)!r}\n")
         for s in range(s_count):
             for row in np.fft.ifft(snaps.bins[:, s].T, axis=-1):
                 fh.write(
@@ -352,8 +336,7 @@ def load_dataset(path) -> SnapshotSet:
     with open_text(path) as fh:
         header = _parse_header(fh.readline().strip())
         m, n, s_count = header["M"], header["N"], header["S"]
-        arr = ArrayConfig(num_sensors=m, spacing=header["delta"])
-        arr.validate()
+        ArrayConfig(num_sensors=m, spacing=header["delta"]).validate()
         if s_count < 1 or n < 2:
             raise ValidationError(
                 f"dataset header needs S >= 1 and N >= 2, got S={s_count} N={n}"
@@ -388,4 +371,4 @@ def load_dataset(path) -> SnapshotSet:
             bins[:, s] = np.fft.fft(series, axis=-1).T
         if any(line.strip() for line in fh):
             raise ValidationError(f"dataset has data lines beyond the header's S={s_count}")
-    return SnapshotSet(bins=bins, array=arr)
+    return SnapshotSet(bins=bins, spacing=header["delta"])

@@ -106,4 +106,4 @@ def estimate_correlation(snaps: SnapshotSet, band: range) -> CorrelationSequence
     # a rounding residue in its imaginary part, which is dropped.
     values[0] = values[0].real
     values /= len(rows) * (m - np.arange(m))
-    return CorrelationSequence(values=values, spacing=snaps.array.spacing)
+    return CorrelationSequence(values=values, spacing=snaps.spacing)

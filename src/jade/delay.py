@@ -63,7 +63,7 @@ def beamform(snaps: SnapshotSet, sines: Sequence[float]) -> np.ndarray:
     if np.abs(sines).max() > 1.0:
         raise ValidationError("|sin(angle)| values must not exceed 1")
     n, s_count, m = snaps.bins.shape
-    steer = np.exp(2j * np.pi * snaps.array.spacing * np.outer(np.arange(m), sines))  # (M, L)
+    steer = np.exp(2j * np.pi * snaps.spacing * np.outer(np.arange(m), sines))  # (M, L)
     weights = np.linalg.pinv(steer)
     # One GEMM over all (bin, snapshot) rows; as rows @ weights.T it left 25 MB more resident.
     values = (weights @ snaps.bins.reshape(-1, m).T).reshape(-1, n, s_count)

@@ -103,14 +103,28 @@ def _expect(what: str, convert):
     def parse(key: str, value):
         try:
             return convert(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{key}: expected {what}, got {value!r}") from exc
     return parse
 
 
+def _not_bool(value):
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError("a bool is not a number")
+    return value
+
+
+def _integer(value) -> int:
+    """``int(value)`` of a string, or of a number it does not truncate."""
+    number = int(_not_bool(value))
+    if not isinstance(value, str) and number != value:
+        raise ValueError("the number has a fractional part")
+    return number
+
+
 def _floats(value) -> List[float]:
     items = value if isinstance(value, (list, tuple)) else str(value).split(",")
-    return [float(x) for x in items if str(x).strip()]
+    return [float(_not_bool(x)) for x in items if str(x).strip()]
 
 
 def _fading_kind(value) -> str:
@@ -126,8 +140,8 @@ def _schema(key: str, value) -> int:
     return CONFIG_SCHEMA
 
 
-_INT = _expect("an integer", int)
-_FLOAT = _expect("a number", float)
+_INT = _expect("an integer", _integer)
+_FLOAT = _expect("a number", lambda v: float(_not_bool(v)))
 # PulseConfig.validate rejects digits other than 0 and 1
 _BITS = _expect("a 0/1 string", lambda v: [int(ch) for ch in str(v).strip()])
 _FLOATS = _expect("comma-separated numbers", _floats)
@@ -196,7 +210,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         raise ValidationError(
             f"angles_deg ({len(v['angles_deg'])}) and delays ({len(v['delays'])}) differ in length"
         )
-    # the parameters of other kinds keep FadingModel's defaults, as its constructors do
+    # the parameters of other kinds keep FadingModel's defaults
     params = {key: v[key] for key, row in CONFIG_KEYS.items() if kind in row.fading}
     if kind == "deterministic":
         params = {"beta": complex(params["beta_re"], params["beta_im"])}
@@ -303,7 +317,7 @@ def estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) ->
     n = len(pulse_wave)
     if snaps.num_samples != (n // 2 + 1 if snaps.half else n):
         raise ValidationError(f"a set of {snaps.num_samples} bins does not fit a pulse of N={n}")
-    echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.array.spacing,
+    echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.spacing,
                 snapshots=snaps.num_snapshots)
     report = _estimate(replace(snaps, bins=snaps.bins[:n // 2 + 1], half=True), pulse_wave, cfg)
     return replace(report, config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate},
@@ -434,7 +448,7 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
     false) are counted and kept in them. A setting a stage rejects fails the
     whole call.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
     cfg = cfg.resolved()
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
@@ -455,7 +469,7 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
     return MonteCarloReport(
         config=cfg.to_dict(),
         trials=results,
-        num_trials=trials,
+        num_trials=int(trials),
         num_failed=len(results) - len(ok),
         num_flagged=sum(not r["estimate_valid"] for r in ok),
         angle_bias_deg=angle_bias,

@@ -89,7 +89,7 @@ def test_criterion_3_deterministic_exactness():
     cfg = replace(
         default_scenario(),
         paths=[PathParam(angle_deg=13.7, delay=2.5)],
-        fading=FadingModel.deterministic(1.0),
+        fading=FadingModel(kind="deterministic", beta=1.0),
         num_snapshots=4,
     )
     start = time.perf_counter()
@@ -149,7 +149,7 @@ def test_criterion_5_structural_invariants():
         wave,
         [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
         ArrayConfig(16, 0.5),
-        FadingModel.rayleigh(1.0),
+        FadingModel(kind="rayleigh", sigma=1.0),
         20,
         0.0,
         seed=5,
@@ -198,7 +198,7 @@ def test_criterion_6_matched_beamformer_magnitude():
         wave,
         [PathParam(20.0, 7.0)],
         scenario.array,
-        FadingModel.deterministic(1.0),
+        FadingModel(kind="deterministic", beta=1.0),
         1,
         0.0,
         seed=1,
@@ -213,8 +213,8 @@ def test_criterion_6_matched_beamformer_magnitude():
     "label,fading",
     [
         # K = nu^2 / (2 sigma^2) = 5 at E|beta|^2 = 2
-        ("rician K=5", FadingModel.rician(nu=1.2909944487358056, sigma=0.408248290463863)),
-        ("suzuki std_db=6", FadingModel.suzuki(sigma=1.0, mean_db=0.0, std_db=6.0)),
+        ("rician K=5", FadingModel(kind="rician", nu=1.2909944487358056, sigma=0.408248290463863)),
+        ("suzuki std_db=6", FadingModel(kind="suzuki", sigma=1.0, mean_db=0.0, std_db=6.0)),
     ],
 )
 def test_criterion_7_distribution_robustness(label, fading):

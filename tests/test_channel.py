@@ -30,11 +30,12 @@ def pulse_wave():
 
 
 RANDOM_FADING = {
-    "rayleigh": FadingModel.rayleigh(1.0),
-    "rician": FadingModel.rician(nu=1.0, sigma=0.5),
-    "suzuki": FadingModel.suzuki(sigma=1.0, mean_db=0.0, std_db=6.0),
+    "rayleigh": FadingModel(kind="rayleigh", sigma=1.0),
+    "rician": FadingModel(kind="rician", nu=1.0, sigma=0.5),
+    "suzuki": FadingModel(kind="suzuki", sigma=1.0, mean_db=0.0, std_db=6.0),
 }
-ALL_FADING = {"deterministic": FadingModel.deterministic(0.5 - 0.25j), **RANDOM_FADING}
+ALL_FADING = {"deterministic": FadingModel(kind="deterministic", beta=0.5 - 0.25j),
+               **RANDOM_FADING}
 TWO_PATHS = [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)]
 
 
@@ -43,7 +44,7 @@ def one_path_snaps(pulse, angle_deg=0.0, delay=0.0, sensors=8, snapshots=1):
         pulse,
         [PathParam(angle_deg=angle_deg, delay=delay)],
         ArrayConfig(num_sensors=sensors, spacing=0.5),
-        FadingModel.deterministic(1.0),
+        FadingModel(kind="deterministic", beta=1.0),
         snapshots,
         0.0,
         seed=0,
@@ -133,7 +134,7 @@ class TestSynthesize:
             pulse_wave,
             [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
             ArrayConfig(8, 0.5),
-            FadingModel.rayleigh(1.0),
+            FadingModel(kind="rayleigh", sigma=1.0),
             5,
             0.1,
             seed=2,
@@ -170,7 +171,7 @@ class TestSynthesize:
         noise = np.sqrt(n * noise_var / 2.0) * (z[..., 0] + 1j * z[..., 1])
         ref = np.fft.fft(data, axis=-1) + noise.transpose(0, 2, 1)
 
-        fading = FadingModel.rician(nu=nu, sigma=sigma)
+        fading = FadingModel(kind="rician", nu=nu, sigma=sigma)
         snaps = synthesize(pulse_wave, paths, arr, fading, count, noise_var, seed=seed)
         assert np.array_equal(snaps.betas, betas)
         assert np.abs(spectra(snaps) - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -179,7 +180,7 @@ class TestSynthesize:
         paths = [PathParam(-10.0, 1.0), PathParam(20.0, 2.0), PathParam(40.0, 3.0)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            synthesize(pulse_wave, paths, ArrayConfig(8, 0.6), FadingModel.rayleigh(), 2)
+            synthesize(pulse_wave, paths, ArrayConfig(8, 0.6), FadingModel(kind="rayleigh"), 2)
         assert ["alias" in str(w.message) for w in caught] == [True]
 
     def test_checks_the_array_and_the_fading_model_once(self, pulse_wave, monkeypatch):
@@ -190,7 +191,7 @@ class TestSynthesize:
                 check(self)
             monkeypatch.setattr(cls, "validate", counted)
         paths = [PathParam(-10.0, 1.0), PathParam(20.0, 2.0), PathParam(40.0, 3.0)]
-        synthesize(pulse_wave, paths, ArrayConfig(8, 0.5), FadingModel.rayleigh(), 2, 0.1)
+        synthesize(pulse_wave, paths, ArrayConfig(8, 0.5), FadingModel(kind="rayleigh"), 2, 0.1)
         assert sorted(calls) == ["ArrayConfig", "FadingModel"]
 
     @pytest.mark.parametrize("kind", sorted(ALL_FADING))
@@ -221,7 +222,7 @@ class TestSynthesize:
         # bin, CN(0, noise_var) per time sample
         n, noise_var = len(pulse_wave), 0.7
         snaps = synthesize(pulse_wave, TWO_PATHS, ArrayConfig(8, 0.5),
-                           FadingModel.deterministic(0.0), 400, noise_var, seed=21)
+                           FadingModel(kind="deterministic", beta=0.0), 400, noise_var, seed=21)
         bins = snaps.bins / np.sqrt(n * noise_var)
         assert abs(bins.mean()) < 0.01
         assert np.mean(np.abs(bins) ** 2) == pytest.approx(1.0, rel=0.01)
@@ -239,8 +240,8 @@ class TestSynthesize:
         ids=["noisy", "noiseless-half"],
     )
     def test_synthesis_holds_one_snapshot_array(self, pulse_wave, noise_var, half, bound):
-        args = (pulse_wave, TWO_PATHS, ArrayConfig(64, 0.5), FadingModel.rayleigh(1.0), 200,
-                noise_var)
+        args = (pulse_wave, TWO_PATHS, ArrayConfig(64, 0.5),
+                FadingModel(kind="rayleigh", sigma=1.0), 200, noise_var)
         synthesize(*args, seed=1, half=half)  # warm up
         tracemalloc.start()
         try:
@@ -266,7 +267,8 @@ class TestSynthesize:
         for kind, expected in pinned.items():
             betas = synthesize(pulse_wave, TWO_PATHS, arr, RANDOM_FADING[kind], 1, seed=1).betas
             np.testing.assert_allclose(betas[0], expected, rtol=1e-12, atol=0)
-        snaps = synthesize(pulse_wave, TWO_PATHS, arr, FadingModel.deterministic(0.0), 1, 1.0, seed=1)
+        snaps = synthesize(pulse_wave, TWO_PATHS, arr, FadingModel(kind="deterministic", beta=0.0),
+                           1, 1.0, seed=1)
         assert len(pulse_wave) == 128
         np.testing.assert_allclose(snaps.bins[0, 0, 0], 4.266831027079575 + 9.937965423732352j,
                                    rtol=1e-12, atol=0)
@@ -284,7 +286,8 @@ class TestSynthesize:
         monkeypatch.setattr("jade.channel.np.random.default_rng", recording)
         n, seed = len(pulse_wave), 5
         kw = dict(pulse=pulse_wave, paths=TWO_PATHS, arr=ArrayConfig(4, 0.5),
-                  fading=FadingModel.rayleigh(1.0), num_snapshots=3, noise_var=0.5, seed=seed)
+                  fading=FadingModel(kind="rayleigh", sigma=1.0), num_snapshots=3, noise_var=0.5,
+                  seed=seed)
         synthesize(**kw, half=True)
         assert [seed, 1] in keys and [seed, 2] not in keys
         keys.clear()
@@ -295,20 +298,21 @@ class TestSynthesize:
         # at N = 2 bins 0..N/2 are every bin, so the full set is the half set
         wave = generate_pulse(zero_bit_cfg(symbol_count=2, oversample=1))
         kw = dict(pulse=wave, paths=[PathParam(0.0, 0.5)], arr=ArrayConfig(4, 0.5),
-                  fading=FadingModel.rayleigh(1.0), num_snapshots=3, noise_var=0.5, seed=2)
+                  fading=FadingModel(kind="rayleigh", sigma=1.0), num_snapshots=3, noise_var=0.5,
+                  seed=2)
         assert np.array_equal(synthesize(**kw).bins, synthesize(**kw, half=True).bins)
 
     def test_holds_one_snapshot_array_after_save(self, pulse_wave, tmp_path):
         snaps = synthesize(
             pulse_wave, [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)], ArrayConfig(4, 0.5),
-            FadingModel.rayleigh(1.0), 3, 0.1, seed=1,
+            FadingModel(kind="rayleigh", sigma=1.0), 3, 0.1, seed=1,
         )
         cube = 3 * 4 * len(pulse_wave)
 
         def held():
             return {k: v.size for k, v in vars(snaps).items() if isinstance(v, np.ndarray)}
 
-        assert [f.name for f in fields(snaps)] == ["bins", "array", "betas", "half"]
+        assert [f.name for f in fields(snaps)] == ["bins", "spacing", "betas", "half"]
         assert held() == {"bins": cube, "betas": snaps.betas.size}
         save_dataset(snaps, tmp_path / "data.txt")
         assert held() == {"bins": cube, "betas": snaps.betas.size}
@@ -317,7 +321,7 @@ class TestSynthesize:
         kw = dict(
             paths=[PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
             arr=ArrayConfig(4, 0.5),
-            fading=FadingModel.rayleigh(1.0),
+            fading=FadingModel(kind="rayleigh", sigma=1.0),
             noise_var=0.05,
         )
         a = synthesize(pulse_wave, num_snapshots=8, seed=11, **kw)
@@ -334,9 +338,9 @@ class TestSynthesize:
         # was synthesized with or without noise or loaded from a file
         n, s_count, m = len(pulse_wave), 5, 4
         noiseless = synthesize(pulse_wave, TWO_PATHS, ArrayConfig(m, 0.5),
-                               FadingModel.rayleigh(1.0), s_count, seed=3)
+                               FadingModel(kind="rayleigh", sigma=1.0), s_count, seed=3)
         noisy = synthesize(pulse_wave, TWO_PATHS, ArrayConfig(m, 0.5),
-                           FadingModel.rayleigh(1.0), s_count, 0.1, seed=3)
+                           FadingModel(kind="rayleigh", sigma=1.0), s_count, 0.1, seed=3)
         save_dataset(noisy, tmp_path / "data.txt")
         loaded = load_dataset(tmp_path / "data.txt")
         for snaps in (noiseless, noisy, loaded):
@@ -363,7 +367,7 @@ class TestSynthesize:
                 pulse_wave,
                 [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
                 ArrayConfig(8, 0.5),
-                FadingModel.rayleigh(1.0),
+                FadingModel(kind="rayleigh", sigma=1.0),
                 s_per,
                 0.0,
                 seed=100 + c,
@@ -373,7 +377,7 @@ class TestSynthesize:
 
     def test_validation(self, pulse_wave):
         arr = ArrayConfig(4, 0.5)
-        fading = FadingModel.rayleigh(1.0)
+        fading = FadingModel(kind="rayleigh", sigma=1.0)
         with pytest.raises(ValidationError):
             synthesize(pulse_wave, [], arr, fading, 1)
         with pytest.raises(ValidationError):
@@ -433,13 +437,13 @@ class TestNumBins:
 class TestFadingModel:
     def test_rayleigh_moments(self):
         rng = np.random.default_rng(0)
-        b = FadingModel.rayleigh(1.0).draw(rng, 100_000)
+        b = FadingModel(kind="rayleigh", sigma=1.0).draw(rng, 100_000)
         assert abs(b.mean()) < 0.02
         assert np.mean(np.abs(b) ** 2) == pytest.approx(2.0, rel=0.02)
 
     def test_rician_moments_and_k_factor(self):
         # K = 5 at E|beta|^2 = 2: nu^2 = 2K/(1+K), 2 sigma^2 = 2/(1+K)
-        fm = FadingModel.rician(nu=1.2909944487358056, sigma=0.408248290463863)
+        fm = FadingModel(kind="rician", nu=1.2909944487358056, sigma=0.408248290463863)
         assert fm.nu**2 / (2 * fm.sigma**2) == pytest.approx(5.0)
         assert fm.mean_square() == pytest.approx(2.0)
         rng = np.random.default_rng(1)
@@ -448,7 +452,7 @@ class TestFadingModel:
         assert np.mean(np.abs(b) ** 2) == pytest.approx(fm.mean_square(), rel=0.02)
 
     def test_suzuki_moments(self):
-        fm = FadingModel.suzuki(sigma=1.0, mean_db=0.0, std_db=6.0)
+        fm = FadingModel(kind="suzuki", sigma=1.0, mean_db=0.0, std_db=6.0)
         rng = np.random.default_rng(2)
         b = fm.draw(rng, 100_000)
         assert abs(b.mean()) < 0.02
@@ -457,14 +461,14 @@ class TestFadingModel:
 
     def test_cross_path_independence(self):
         rng = np.random.default_rng(3)
-        fm = FadingModel.rayleigh(1.0)
+        fm = FadingModel(kind="rayleigh", sigma=1.0)
         b1 = fm.draw(rng, 100_000)
         b2 = fm.draw(rng, 100_000)
         assert abs(np.mean(b1 * np.conj(b2))) < 0.02
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        fm = FadingModel.deterministic(0.5 - 0.25j)
+        fm = FadingModel(kind="deterministic", beta=0.5 - 0.25j)
         assert np.all(fm.draw(rng, 10) == 0.5 - 0.25j)
         assert fm.mean_square() == pytest.approx(0.3125)
 
@@ -486,13 +490,13 @@ class TestFadingModel:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            FadingModel.rayleigh(0.0).validate()
+            FadingModel(kind="rayleigh", sigma=0.0).validate()
         with pytest.raises(ValidationError):
-            FadingModel.rician(nu=-1.0, sigma=1.0).validate()
+            FadingModel(kind="rician", nu=-1.0, sigma=1.0).validate()
         with pytest.raises(ValidationError):
             FadingModel(kind="nakagami").validate()
         with pytest.raises(ValidationError, match="std_db must be >= 0, got -1.0"):
-            FadingModel.suzuki(std_db=-1.0).validate()
+            FadingModel(kind="suzuki", std_db=-1.0).validate()
         for kind in FadingModel._KINDS:
             for field in ("beta", "sigma", "nu", "mean_db", "std_db"):
                 for bad in (np.nan, np.inf):
@@ -506,7 +510,7 @@ class TestDatasetIO:
             pulse_wave,
             [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
             ArrayConfig(4, 0.5),
-            FadingModel.rayleigh(1.0),
+            FadingModel(kind="rayleigh", sigma=1.0),
             3,
             0.01,
             seed=5,
@@ -516,8 +520,8 @@ class TestDatasetIO:
         loaded = load_dataset(path)
         samples = read_samples(path, snaps)
         assert np.array_equal(samples, time_series(snaps))  # repr-exact samples
-        assert loaded.array.num_sensors == 4
-        assert loaded.array.spacing == 0.5
+        assert loaded.num_sensors == 4
+        assert loaded.spacing == 0.5
         assert loaded.betas is None
         ref = np.fft.fft(samples, axis=-1)
         assert np.abs(spectra(loaded) - ref).max() < 1e-10 * np.abs(ref).max()
@@ -526,7 +530,7 @@ class TestDatasetIO:
         # the time series is formed and parsed one (M, N) snapshot at a time,
         # never as a second (S, M, N) array beside the spectra
         snaps = synthesize(pulse_wave, TWO_PATHS, ArrayConfig(16, 0.5),
-                           FadingModel.rayleigh(1.0), 20, 1.0, seed=3)
+                           FadingModel(kind="rayleigh", sigma=1.0), 20, 1.0, seed=3)
         path = tmp_path / "data.txt"
         peaks = []
         for step in (lambda: save_dataset(snaps, path), lambda: load_dataset(path)):

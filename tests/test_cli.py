@@ -124,6 +124,14 @@ class TestSimulateEstimate:
                 assert main(["estimate", *SMALL, "--set", setting, "--data", str(data)]) == 0
                 assert capsys.readouterr().out == expected
 
+    def test_estimate_echoes_the_array_of_the_dataset(self, tmp_path, capsys):
+        data = tmp_path / "snaps.txt"
+        assert main(["simulate", *SMALL, "--set", "spacing=0.4", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", *SMALL, "--set", "sensors=8", "--data", str(data)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["sensors"], config["spacing"]) == (16, 0.4)
+
     @pytest.mark.parametrize("settings", [["noise_var=-1"], ["fading=rician", "sigma=-1"]],
                              ids=["noise_var", "rician-sigma"])
     def test_estimate_ignores_the_keys_only_synthesis_reads(self, tmp_path, capsys, settings):

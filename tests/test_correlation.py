@@ -30,7 +30,7 @@ def make_snaps(wave, paths, sensors=8, snapshots=1, fading=None, seed=0):
         wave,
         paths,
         ArrayConfig(sensors, 0.5),
-        fading or FadingModel.deterministic(1.0),
+        fading or FadingModel(kind="deterministic", beta=1.0),
         snapshots,
         0.0,
         seed=seed,
@@ -97,7 +97,7 @@ class TestSelectBand:
         assert isinstance(band, range) and band.step == 1
         as_array = np.arange(band.start, band.stop)
         snaps = make_snaps(wave, [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)], sensors=8,
-                           snapshots=5, fading=FadingModel.rayleigh(1.0), seed=2)
+                           snapshots=5, fading=FadingModel(kind="rayleigh", sigma=1.0), seed=2)
         assert np.array_equal(estimate_correlation(snaps, band).values,
                               estimate_correlation(snaps, as_array).values)
         beams = beamform(snaps, np.sin(np.radians([-10.0, 20.0])))
@@ -146,7 +146,7 @@ class TestEstimateCorrelation:
                 [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
                 sensors=6,
                 snapshots=snapshots,
-                fading=FadingModel.rayleigh(1.0),
+                fading=FadingModel(kind="rayleigh", sigma=1.0),
                 seed=9,
             )
 
@@ -157,7 +157,7 @@ class TestEstimateCorrelation:
         wide = (1032, 3, 5)
         wide_snaps = SnapshotSet(
             bins=rng.standard_normal(wide) + 1j * rng.standard_normal(wide),
-            array=ArrayConfig(5, 0.5),
+            spacing=0.5,
         )
         cases = [
             (two_path(4), band),
@@ -182,7 +182,7 @@ class TestEstimateCorrelation:
             wave,
             [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
             ArrayConfig(64, 0.5),
-            FadingModel.rayleigh(1.0),
+            FadingModel(kind="rayleigh", sigma=1.0),
             200,
             0.0,
             seed=1,
@@ -206,7 +206,7 @@ class TestEstimateCorrelation:
             wave,
             [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
             ArrayConfig(m, 0.5),
-            FadingModel.rayleigh(1.0),
+            FadingModel(kind="rayleigh", sigma=1.0),
             snapshots,
             0.0,
             seed=1,
@@ -238,7 +238,7 @@ class TestEstimateCorrelation:
             wave,
             [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
             ArrayConfig(64, 0.5),
-            FadingModel.rayleigh(1.0),
+            FadingModel(kind="rayleigh", sigma=1.0),
             200,
             0.0,
             seed=1,
@@ -272,9 +272,8 @@ class TestEstimateCorrelation:
         for s_count in (100, 400, 1600):
             devs = []
             for seed in range(8):
-                snaps = synthesize(
-                    wave, paths, arr, FadingModel.rayleigh(1.0), s_count, 0.0, seed=50 + seed
-                )
+                snaps = synthesize(wave, paths, arr, FadingModel(kind="rayleigh", sigma=1.0), s_count,
+                                   0.0, seed=50 + seed)
                 corr = estimate_correlation(snaps, band)
                 devs.append(
                     np.linalg.norm(corr.values / corr.values[0] - limit_norm)

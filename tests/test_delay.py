@@ -23,7 +23,7 @@ def single_path_snaps(wave, angle_deg, delay, sensors=64, snapshots=1, fading=No
         wave,
         [PathParam(angle_deg=angle_deg, delay=delay)],
         ArrayConfig(sensors, 0.5),
-        fading or FadingModel.deterministic(1.0),
+        fading or FadingModel(kind="deterministic", beta=1.0),
         snapshots,
         0.0,
         seed=seed,
@@ -70,7 +70,7 @@ class TestBeamform:
             wave,
             [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)],
             ArrayConfig(64, 0.5),
-            FadingModel.deterministic(1.0),
+            FadingModel(kind="deterministic", beta=1.0),
             1,
             0.0,
             seed=0,
@@ -93,7 +93,7 @@ class TestBeamform:
             wave,
             [PathParam(-30.0, 2.0), PathParam(5.0, -1.5), PathParam(40.0, 6.25)],
             ArrayConfig(16, 0.5),
-            FadingModel.rayleigh(1.0),
+            FadingModel(kind="rayleigh", sigma=1.0),
             7,
             1.0,
             seed=5,
@@ -181,7 +181,8 @@ class TestFitDelay:
             errors = []
             for seed in range(5):
                 snaps = synthesize(wave, [PathParam(-10.0, 3.0)], ArrayConfig(4, 0.5),
-                                   FadingModel.rayleigh(1.0), s_count, 1.0, seed=seed, half=True)
+                                   FadingModel(kind="rayleigh", sigma=1.0), s_count, 1.0, seed=seed,
+                                   half=True)
                 bf = beamform(snaps, [np.sin(np.radians(-10.0))])
                 errors.append(fit_delay(bf, spec, band).delay_median[0] - 3.0)
             rmse.append(np.sqrt(np.mean(np.square(errors))))
@@ -194,7 +195,7 @@ class TestFitDelay:
         _, wave, spec = keyed_pulse
         band = select_band(spec, 0.1)
         snaps = single_path_snaps(
-            wave, 20.0, 7.0, snapshots=31, fading=FadingModel.rayleigh(1.0), seed=5
+            wave, 20.0, 7.0, snapshots=31, fading=FadingModel(kind="rayleigh", sigma=1.0), seed=5
         )
         bf = beamform(snaps, [np.sin(np.radians(20.0))])
         est = fit_delay(bf, spec, band)

@@ -69,7 +69,7 @@ class TestRunPipeline:
         cfg = replace(
             default_scenario(),
             paths=[PathParam(angle_deg=13.7, delay=2.5)],
-            fading=FadingModel.deterministic(1.0),
+            fading=FadingModel(kind="deterministic", beta=1.0),
             num_snapshots=4,
         )
         report = run_pipeline(cfg)
@@ -359,9 +359,13 @@ class TestMonteCarlo:
 
     def test_rejects_bad_trial_count(self):
         # a count that is not an integer is the same typed error as one below 1
-        for trials in (0, 2.5, "3"):
+        for trials in (0, 2.5, "3", True):
             with pytest.raises(ValidationError, match="trials must be an integer >= 1"):
                 monte_carlo(small_scenario(), trials=trials)
+
+    def test_numpy_trial_count_gives_a_serializable_report(self):
+        report = monte_carlo(small_scenario(num_snapshots=5), trials=np.int64(2))
+        assert json.loads(report.to_json())["num_trials"] == 2
 
 
 class TestConfigHandling:
@@ -383,6 +387,20 @@ class TestConfigHandling:
                        if line.startswith("| `")]
         documented = {key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)}
         assert documented == set(CONFIG_KEYS) - {"schema"}
+
+    @pytest.mark.parametrize("key,value", [
+        ("sensors", 16.9), ("snapshots", 50.5), ("bits_seed", 2.5), ("seed", True),
+        ("sensors", np.True_), ("sensors", float("inf")), ("noise_var", True),
+        ("angles_deg", [True, 20.0]),
+    ])
+    def test_numeric_keys_reject_fractions_and_bools(self, key, value):
+        # an integer key never truncates, and a bool is not a number
+        with pytest.raises(ValidationError, match=f"^{key}: expected"):
+            scenario_from_dict({key: value})
+
+    def test_integral_numbers_parse_as_integers(self):
+        for value in (32.0, np.int64(32), "32"):
+            assert scenario_from_dict({"symbols": value}).pulse.symbol_count == 32
 
     def test_load_config_file(self, tmp_path):
         text = """
@@ -454,11 +472,8 @@ class TestConfigHandling:
             assert again.fading == cfg.fading
 
     def test_fading_defaults_match_the_model_constructors(self):
-        assert scenario_from_dict({"fading": "deterministic"}).fading == FadingModel.deterministic()
-        assert scenario_from_dict({"fading": "rayleigh"}).fading == FadingModel.rayleigh()
-        assert scenario_from_dict({"fading": "rician"}).fading == FadingModel.rician(0.0, 1.0)
-        assert scenario_from_dict({"fading": "suzuki"}).fading == FadingModel.suzuki()
-        assert FadingModel(kind="suzuki") == FadingModel.suzuki()
+        for kind in FadingModel._KINDS:
+            assert scenario_from_dict({"fading": kind}).fading == FadingModel(kind=kind)
 
     @pytest.mark.parametrize(
         "kind,key",

@@ -143,7 +143,7 @@ class TestSvdProny:
         # so the backward Hankel matrix equals the forward one, bit for bit
         _, wave, spec = keyed_pulse
         paths = [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)]
-        snaps = synthesize(wave, paths, ArrayConfig(16, 0.5), FadingModel.rayleigh(),
+        snaps = synthesize(wave, paths, ArrayConfig(16, 0.5), FadingModel(kind="rayleigh"),
                            num_snapshots=10, noise_var=1.0, seed=3)
         for corr in (estimate_correlation(snaps, select_band(spec, 0.1)),
                      sequence_from_modes([-0.7, 0.4], [1.0, 0.8], num_lags=48)):
