@@ -72,14 +72,14 @@ class PathParam:
     angle_deg: float
     delay: float
 
-    def validate(self, num_samples: Optional[int] = None) -> None:
+    def validate(self, num_samples: int) -> None:
         if not -90.0 < self.angle_deg < 90.0:
             raise ValidationError(
                 f"angle must lie strictly inside (-90, 90) degrees, got {self.angle_deg}"
             )
         if not np.isfinite(self.delay):
             raise ValidationError("delay must be finite")
-        if num_samples is not None and abs(self.delay) >= num_samples / 2:
+        if abs(self.delay) >= num_samples / 2:
             raise ValidationError(
                 f"|delay| = {abs(self.delay)} must be below half the window "
                 f"({num_samples / 2} samples)"

@@ -193,10 +193,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    # checked before the dataset is parsed; estimate() reads its array, not the config's
-    cfg = _load_scenario(args).resolved()
-    wave = generate_pulse(cfg.pulse)
-    _emit_report(args, estimate(load_dataset(args.data), wave, cfg))
+    cfg = _load_scenario(args)
+    cfg.resolved().pulse.validate()  # before parsing the dataset, which gives the array
+    _emit_report(args, estimate(load_dataset(args.data), cfg))
     return EXIT_OK
 
 

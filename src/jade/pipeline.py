@@ -123,7 +123,8 @@ def _integer(value) -> int:
 
 
 def _floats(value) -> List[float]:
-    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    listed = isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1)
+    items = value if listed else str(value).split(",")
     return [float(_not_bool(x)) for x in items if str(x).strip()]
 
 
@@ -297,23 +298,23 @@ def _stage(name: str, fn, *args, **kwargs):
         raise EstimationError(name, str(exc)) from exc
 
 
-def estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) -> RunReport:
-    """Estimate angles and delays from ``snaps`` for the known pulse samples ``pulse_wave``.
+def estimate(snaps: SnapshotSet, cfg: ScenarioConfig) -> RunReport:
+    """Estimate angles and delays from ``snaps`` for the known pulse of ``cfg``.
 
-    Stages: pulse spectrum, band selection, spatial correlation, matrix pencil
-    (angles), beamforming, delay periodogram (delays). ``snaps`` must hold the
-    pulse's N bins, or N/2+1 if ``half`` (else a ValidationError); as in
-    :func:`run_pipeline`, only bins 0..N/2 are read. ``cfg`` must be resolved;
-    only its estimation settings are read, and only those (the
-    :data:`CONFIG_KEYS` marked ``estimate``, with the array and snapshot count
-    of ``snaps``) are echoed. A setting a stage rejects raises its
-    ValidationError; any other stage failure is an EstimationError naming the
-    stage. The report carries no truth fields and keeps the stage outputs in
-    ``artifacts``, none of which refers to ``snaps``. A run of
-    :func:`run_pipeline` or :func:`monte_carlo` frees its set once beamforming
-    returns; the ``snaps`` a caller passes here lives on.
+    Resolves ``cfg`` and generates its pulse as :func:`run_pipeline` does, then
+    runs its estimation stages: pulse spectrum, band selection, spatial
+    correlation, matrix pencil (angles), beamforming, delay periodogram (delays).
+    ``snaps`` must hold the pulse's N bins, or N/2+1 if ``half`` (else a
+    ValidationError); only bins 0..N/2 are read. Only the :data:`CONFIG_KEYS`
+    marked ``estimate`` are read and echoed, with the array and snapshot count of
+    ``snaps``. A setting a stage rejects raises its ValidationError; any other
+    stage failure is an EstimationError naming the stage. The report has no truth
+    fields and keeps the stage outputs in ``artifacts``, none of which refers to
+    ``snaps``; unlike :func:`run_pipeline`, this call leaves the set to its caller.
     """
+    cfg = cfg.resolved()
     started = time.perf_counter()
+    pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
     n = len(pulse_wave)
     if snaps.num_samples != (n // 2 + 1 if snaps.half else n):
         raise ValidationError(f"a set of {snaps.num_samples} bins does not fit a pulse of N={n}")

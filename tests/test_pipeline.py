@@ -164,7 +164,7 @@ class TestRunPipeline:
         wave = generate_pulse(cfg.pulse)
         full = synthesize(wave, cfg.paths, cfg.array, cfg.fading, cfg.num_snapshots,
                           cfg.noise_var, cfg.seed)
-        report = estimate(full, wave, cfg)
+        report = estimate(full, cfg)
         expected = replace(
             report,
             config=cfg.to_dict(),
@@ -199,29 +199,39 @@ class TestRunPipeline:
 class TestEstimate:
     def full_and_half(self, cfg):
         wave = generate_pulse(cfg.pulse)
-        return wave, [synthesize(wave, cfg.paths, cfg.array, cfg.fading, cfg.num_snapshots,
-                                 cfg.noise_var, cfg.seed, half=half) for half in (False, True)]
+        return [synthesize(wave, cfg.paths, cfg.array, cfg.fading, cfg.num_snapshots,
+                           cfg.noise_var, cfg.seed, half=half) for half in (False, True)]
 
     @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
     def test_rejects_a_pulse_of_another_length(self, half):
         # a 136-sample pulse on a 128-bin set used to return delays 3.44 / 7.69
         # (truth 3 / 7) with estimate_valid true
         cfg = small_scenario().resolved()
-        _, sets = self.full_and_half(cfg)
+        sets = self.full_and_half(cfg)
         other = replace(cfg, pulse=replace(cfg.pulse, symbol_count=34))
         with pytest.raises(ValidationError, match="does not fit a pulse of N=136"):
-            estimate(sets[half], generate_pulse(other.pulse), other)
+            estimate(sets[half], other)
 
     @pytest.mark.parametrize("noise_var", [0.0, 0.5], ids=["noiseless", "noisy"])
     def test_a_half_set_gives_the_report_of_the_full_set(self, noise_var):
         cfg = small_scenario(noise_var=noise_var).resolved()
-        wave, (full, half) = self.full_and_half(cfg)
+        full, half = self.full_and_half(cfg)
         assert half.half and half.num_samples == 65
-        assert estimate(half, wave, cfg).to_json() == estimate(full, wave, cfg).to_json()
+        assert estimate(half, cfg).to_json() == estimate(full, cfg).to_json()
+
+    def test_resolves_an_unresolved_scenario(self):
+        # unresolved, the pulse draws its bits from seed 0, not the seed 3 the echo
+        # names; estimating with that pulse gives delays 3.384 / 7.542
+        cfg = replace(small_scenario(noise_var=1.0), num_snapshots=50)
+        full, _ = self.full_and_half(cfg.resolved())
+        report = estimate(full, cfg)
+        assert report.to_json() == estimate(full, cfg.resolved()).to_json()
+        assert report.config["bits_seed"] == 3
+        assert np.round(report.delay_median, 3).tolist() == [3.007, 7.011]
 
     def test_the_stages_read_a_view_of_bins_0_to_n_half(self, monkeypatch):
         cfg = small_scenario().resolved()
-        wave, (full, _) = self.full_and_half(cfg)
+        full, _ = self.full_and_half(cfg)
         read = []
 
         def capture(snaps, *args):
@@ -229,7 +239,7 @@ class TestEstimate:
             return _estimate(snaps, *args)
 
         monkeypatch.setattr("jade.pipeline._estimate", capture)
-        estimate(full, wave, cfg)
+        estimate(full, cfg)
         assert read[0].bins.shape == (65, 20, 16) and read[0].half
         assert np.shares_memory(read[0].bins, full.bins)
 
@@ -397,6 +407,10 @@ class TestConfigHandling:
         # an integer key never truncates, and a bool is not a number
         with pytest.raises(ValidationError, match=f"^{key}: expected"):
             scenario_from_dict({key: value})
+
+    def test_a_1d_array_parses_as_a_list(self):
+        cfg = scenario_from_dict({"angles_deg": np.array([-10.0, 20.0]), "delays": np.array([3, 7])})
+        assert [(p.angle_deg, p.delay) for p in cfg.paths] == [(-10.0, 3.0), (20.0, 7.0)]
 
     def test_integral_numbers_parse_as_integers(self):
         for value in (32.0, np.int64(32), "32"):
