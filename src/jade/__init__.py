@@ -10,7 +10,7 @@ all snapshots, the delay half of RELAX, Li & Stoica 1996).
 __version__ = "0.1.0"
 
 from .exceptions import EstimationError, JadeError, ValidationError
-from .pulse import PulseConfig, generate_pulse, spectrum, unwrap_phase
+from .pulse import PulseConfig, generate_pulse, spectrum
 from .channel import (
     ArrayConfig,
     FadingModel,
@@ -42,7 +42,6 @@ __all__ = [
     "PulseConfig",
     "generate_pulse",
     "spectrum",
-    "unwrap_phase",
     "ArrayConfig",
     "PathParam",
     "FadingModel",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -149,18 +149,6 @@ class FadingModel:
             return scatter * 10.0 ** ((self.mean_db + self.std_db * z[..., 2]) / 20.0)
         return scatter
 
-    def mean_square(self) -> float:
-        """E|beta|^2 for this model (used by closed-form power checks)."""
-        self.validate()
-        if self.kind == "deterministic":
-            return abs(self.beta) ** 2
-        if self.kind == "rayleigh":
-            return 2.0 * self.sigma**2
-        if self.kind == "rician":
-            return self.nu**2 + 2.0 * self.sigma**2
-        ln10 = np.log(10.0)
-        return 2.0 * self.sigma**2 * np.exp((self.std_db * ln10 / 10.0) ** 2 / 2.0 + self.mean_db * ln10 / 10.0)
-
 
 @dataclass
 class SnapshotSet:
@@ -171,15 +159,12 @@ class SnapshotSet:
     the time series exists only in a dataset file, written and read one
     snapshot at a time. The sensor count is ``bins.shape[2]``; ``spacing``
     is that of the :class:`ArrayConfig` checked before the set was built.
-    ``betas`` holds the drawn (snapshot, path) fading coefficients of a
-    synthesized set; loaded sets have ``None``. ``half`` marks a set of bins
-    0..N/2 only (``synthesize(half=True)``), whose ``num_samples`` counts
-    those bins; it cannot be saved.
+    ``half`` marks a set of bins 0..N/2 only (``synthesize(half=True)``),
+    whose ``num_samples`` counts those bins; it cannot be saved.
     """
 
     bins: np.ndarray
     spacing: float
-    betas: Optional[np.ndarray] = None
     half: bool = False
 
     @property
@@ -233,8 +218,8 @@ def synthesize(
     the noise of bins 0..N/2 from ``default_rng([seed, 1])`` and that of
     bins N/2+1..N-1 from ``default_rng([seed, 2])``, each in snapshot order
     with a fixed count per snapshot. So a shorter run is a prefix of a
-    longer one with the same seed, and ``betas`` do not depend on
-    ``noise_var``, M or N.
+    longer one with the same seed, and the fading coefficients do not
+    depend on ``noise_var``, M or N.
 
     ``half`` keeps only bins 0..N/2, which equal the full set's bit for bit;
     it never draws from stream 2, so it draws half the normals.
@@ -284,7 +269,7 @@ def synthesize(
     except MemoryError as exc:  # the sizes are settings: too large is a bad setting
         raise ValidationError(f"snapshots={num_snapshots} on {m} sensors: {exc}") from exc
 
-    return SnapshotSet(bins=bins, spacing=arr.spacing, betas=betas, half=half)
+    return SnapshotSet(bins=bins, spacing=arr.spacing, half=half)
 
 
 def save_dataset(snaps: SnapshotSet, path) -> None:
@@ -330,8 +315,7 @@ def load_dataset(path) -> SnapshotSet:
     """Read a dataset written by :func:`save_dataset`.
 
     Each snapshot's M lines are parsed into one reused (M, N) buffer whose
-    DFT is stored into ``bins``, so the full time series is never held. The
-    fading coefficients are not stored in the file, so ``betas`` is ``None``.
+    DFT is stored into ``bins``, so the full time series is never held.
     """
     with open_text(path) as fh:
         header = _parse_header(fh.readline().strip())

@@ -24,9 +24,8 @@ import numpy as np
 
 from . import __version__
 from .exceptions import EstimationError, ValidationError
-from .pulse import generate_pulse, omega_grid, spectrum, unwrap_phase
+from .pulse import generate_pulse, omega_grid, spectrum
 from .channel import load_dataset, save_dataset, synthesize
-from .correlation import select_band
 from .pipeline import (
     ScenarioConfig,
     estimate,
@@ -53,25 +52,19 @@ def _write_csv(path: Path, header, rows) -> None:
 def _write_pulse_csvs(cfg: ScenarioConfig, out_dir: Path) -> None:
     wave = generate_pulse(cfg.pulse)
     g = spectrum(wave)
-    # The unwrapped phase is written only over the band the estimator reads.
-    band = select_band(g, cfg.band_threshold)
-    # the pulse and band settings are checked by now, so a rejected one makes no directory
+    # the pulse settings are checked by now, so a rejected one makes no directory
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "pulse_waveform.csv",
         ["t", "g"],
         zip(cfg.pulse.times, wave),
     )
-    omega, magnitude, phase = omega_grid(len(g)), np.abs(g), np.angle(g)
-    unwrapped = dict(zip(band, unwrap_phase(phase[band])))
-    rows = [
-        [omega[q], magnitude[q], phase[q], unwrapped.get(int(q), "")]
-        for q in np.argsort(omega)
-    ]
+    omega = omega_grid(len(g))
+    order = np.argsort(omega)
     _write_csv(
         out_dir / "pulse_spectrum.csv",
-        ["omega", "magnitude", "phase", "phase_unwrapped"],
-        rows,
+        ["omega", "magnitude", "phase"],
+        zip(omega[order], np.abs(g)[order], np.angle(g)[order]),
     )
 
 

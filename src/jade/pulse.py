@@ -9,7 +9,7 @@ object is used on both the synthesis and the estimation side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "generate_pulse",
     "omega_grid",
     "spectrum",
-    "unwrap_phase",
 ]
 
 
@@ -143,22 +142,3 @@ def spectrum(wave: np.ndarray, band_threshold: float = 0.1) -> np.ndarray:
     if not np.isfinite(wave).all():
         raise ValidationError("waveform contains non-finite samples")
     return np.fft.fft(wave)
-
-
-def unwrap_phase(phi: Union[Sequence[float], np.ndarray], axis: int = -1) -> np.ndarray:
-    """Remove artificial 2*pi jumps from a principal-value phase sequence.
-
-    The first element is kept as-is; every successive difference is shifted
-    by the integer multiple of 2*pi that places it in (-pi, pi]. The output
-    differs from the input by an exact multiple of 2*pi elementwise.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if not np.isfinite(phi).all():
-        raise ValidationError("phase sequence contains non-finite values")
-    # k is the per-step wrap count that maps each difference into (-pi, pi].
-    k = np.ceil((np.diff(phi, axis=axis) - np.pi) / (2.0 * np.pi))
-    out = phi.copy()
-    rest = [slice(None)] * phi.ndim
-    rest[axis] = slice(1, None)
-    out[tuple(rest)] -= 2.0 * np.pi * np.cumsum(k, axis=axis)
-    return out

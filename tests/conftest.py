@@ -22,12 +22,18 @@ def plain_pulse():
     return cfg, wave, spectrum(wave)
 
 
-def wrap_to_principal(phi):
-    """Map angles to (-pi, pi] (test-local reference implementation)."""
-    phi = np.asarray(phi, dtype=float)
-    wrapped = np.angle(np.exp(1j * phi))
-    # np.angle returns [-pi, pi]; fold exact -pi up to +pi for (-pi, pi]
-    return np.where(wrapped == -np.pi, np.pi, wrapped)
+def fading_power(fading):
+    """E|beta|^2 of a FadingModel in closed form (reference for the power checks and CRBs)."""
+    if fading.kind == "deterministic":
+        return abs(fading.beta) ** 2
+    scatter = 2.0 * fading.sigma**2
+    if fading.kind == "rayleigh":
+        return scatter
+    if fading.kind == "rician":
+        return fading.nu**2 + scatter
+    # suzuki: E[10^(X/10)] for X ~ N(mean_db, std_db^2) is the lognormal mean
+    ln10 = np.log(10.0)
+    return scatter * np.exp((fading.std_db * ln10 / 10.0) ** 2 / 2.0 + fading.mean_db * ln10 / 10.0)
 
 
 def spectra(snaps):

@@ -26,11 +26,8 @@ from jade import (
     spectrum,
     svd_prony,
     synthesize,
-    unwrap_phase,
 )
 from jade.pulse import omega_grid
-
-from conftest import wrap_to_principal
 
 TRIALS = 20
 ANGLE_TARGETS = np.array([-10.0, 20.0])
@@ -160,31 +157,18 @@ def test_criterion_5_structural_invariants():
     herm_lags = bool(np.array_equal(two[: corr.num_lags - 1],
                                     np.conj(two[: corr.num_lags - 1 : -1])))
 
-    # unwrap round trip on 1000 random smooth sequences
-    rng = np.random.default_rng(99)
-    round_trip_ok = True
-    for _ in range(1000):
-        steps = rng.uniform(-0.95 * np.pi, 0.95 * np.pi, 40)
-        seq = rng.uniform(-20, 20) + np.concatenate([[0.0], np.cumsum(steps)])
-        out = unwrap_phase(wrap_to_principal(seq))
-        offset = (out - seq) / (2 * np.pi)
-        if not np.allclose(offset, round(offset[0]), atol=1e-9):
-            round_trip_ok = False
-            break
-
     ok = (
         herm_rel < 1e-12
         and shift_dev < 1e-10
         and c0_exact
         and herm_lags
-        and round_trip_ok
     )
     gate(
         5,
         "structural invariants",
         ok,
         f"hermitian {herm_rel:.1e}, shift {shift_dev:.1e}, c0 exact {c0_exact}, "
-        f"lag symmetry {herm_lags}, unwrap x1000 {round_trip_ok}",
+        f"lag symmetry {herm_lags}",
     )
 
 

@@ -20,7 +20,7 @@ from jade import (
 )
 from jade.channel import NOISE_ROWS, delayed_pulse_spectrum
 
-from conftest import spectra, time_series
+from conftest import fading_power, spectra, time_series
 from test_pulse import zero_bit_cfg
 
 
@@ -36,7 +36,16 @@ RANDOM_FADING = {
 }
 ALL_FADING = {"deterministic": FadingModel(kind="deterministic", beta=0.5 - 0.25j),
                **RANDOM_FADING}
+NO_FADING = FadingModel(kind="deterministic", beta=0.0)
 TWO_PATHS = [PathParam(-10.0, 3.0), PathParam(20.0, 7.0)]
+
+
+def assert_faded_by(bins, pulse, paths, arr, betas):
+    """``bins`` are the noiseless spectra of ``paths`` with the (snapshot, path) fading ``betas``."""
+    delayed = delayed_pulse_spectrum(spectrum(pulse), [p.delay for p in paths])
+    steering = steering_vector(arr, [p.angle_deg for p in paths])
+    expected = np.einsum("nl,sl,lm->nsm", delayed, betas, steering)
+    assert np.abs(bins - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def one_path_snaps(pulse, angle_deg=0.0, delay=0.0, sensors=8, snapshots=1):
@@ -173,7 +182,6 @@ class TestSynthesize:
 
         fading = FadingModel(kind="rician", nu=nu, sigma=sigma)
         snaps = synthesize(pulse_wave, paths, arr, fading, count, noise_var, seed=seed)
-        assert np.array_equal(snaps.betas, betas)
         assert np.abs(spectra(snaps) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_warns_about_aliasing_once_per_call(self, pulse_wave):
@@ -202,20 +210,26 @@ class TestSynthesize:
         kw = dict(paths=TWO_PATHS, arr=ArrayConfig(4, 0.5), fading=ALL_FADING[kind],
                   noise_var=0.2, seed=13)
         full = synthesize(pulse_wave, num_snapshots=step + 3, **kw)
+        betas = ALL_FADING[kind].draw(np.random.default_rng([13, 0]), (step + 3, len(TWO_PATHS)))
         for count in (1, 3, step + 1):
             part = synthesize(pulse_wave, num_snapshots=count, **kw)
-            assert np.array_equal(part.betas, full.betas[:count])
             assert np.array_equal(part.bins, full.bins[:, :count])
+            noiseless = synthesize(pulse_wave, num_snapshots=count, **{**kw, "noise_var": 0.0})
+            assert_faded_by(noiseless.bins, pulse_wave, TWO_PATHS, kw["arr"], betas[:count])
 
     @pytest.mark.parametrize("kind", sorted(RANDOM_FADING))
-    def test_betas_do_not_depend_on_noise_or_array_size(self, pulse_wave, kind):
-        betas = [
-            synthesize(pulse_wave, TWO_PATHS, ArrayConfig(m, 0.5), RANDOM_FADING[kind], 6,
-                       noise_var, seed=4).betas
-            for noise_var in (0.0, 1.0) for m in (4, 16)
-        ]
-        for other in betas[1:]:
-            assert np.array_equal(other, betas[0])
+    def test_betas_do_not_depend_on_noise_or_array_size(self, kind):
+        # the fading is the draw from default_rng([seed, 0]) whatever noise_var, M or N;
+        # a zero-fading set of the same seed holds exactly the noise
+        fading = RANDOM_FADING[kind]
+        betas = fading.draw(np.random.default_rng([4, 0]), (6, len(TWO_PATHS)))
+        for wave in (generate_pulse(zero_bit_cfg()), generate_pulse(zero_bit_cfg(symbol_count=12))):
+            for noise_var in (0.0, 1.0):
+                for m in (4, 16):
+                    arr = ArrayConfig(m, 0.5)
+                    bins = synthesize(wave, TWO_PATHS, arr, fading, 6, noise_var, seed=4).bins
+                    bins -= synthesize(wave, TWO_PATHS, arr, NO_FADING, 6, noise_var, seed=4).bins
+                    assert_faded_by(bins, wave, TWO_PATHS, arr, betas)
 
     def test_pure_noise_moments(self, pulse_wave):
         # beta = 0 leaves only noise: white circular CN(0, N * noise_var) per
@@ -253,8 +267,9 @@ class TestSynthesize:
         assert ratio < bound, f"peak is {ratio:.3f} x the snapshot array"
 
     def test_stream_pinned(self, pulse_wave):
-        # first two betas of seed 1 for each kind, and the first noise bin of
-        # each half; a change here is a change of the random stream
+        # first two betas of seed 1 for each kind, which a noiseless set of seed 1
+        # carries, and the first noise bin of each half; a change here is a change
+        # of the random stream
         pinned = {
             "rayleigh": [0.345584192064786 + 0.8216181435011584j,
                          0.33043707618338714 - 1.303157231604361j],
@@ -265,10 +280,11 @@ class TestSynthesize:
         }
         arr = ArrayConfig(4, 0.5)
         for kind, expected in pinned.items():
-            betas = synthesize(pulse_wave, TWO_PATHS, arr, RANDOM_FADING[kind], 1, seed=1).betas
+            betas = RANDOM_FADING[kind].draw(np.random.default_rng([1, 0]), (1, len(TWO_PATHS)))
             np.testing.assert_allclose(betas[0], expected, rtol=1e-12, atol=0)
-        snaps = synthesize(pulse_wave, TWO_PATHS, arr, FadingModel(kind="deterministic", beta=0.0),
-                           1, 1.0, seed=1)
+            snaps = synthesize(pulse_wave, TWO_PATHS, arr, RANDOM_FADING[kind], 1, seed=1)
+            assert_faded_by(snaps.bins, pulse_wave, TWO_PATHS, arr, betas)
+        snaps = synthesize(pulse_wave, TWO_PATHS, arr, NO_FADING, 1, 1.0, seed=1)
         assert len(pulse_wave) == 128
         np.testing.assert_allclose(snaps.bins[0, 0, 0], 4.266831027079575 + 9.937965423732352j,
                                    rtol=1e-12, atol=0)
@@ -312,10 +328,10 @@ class TestSynthesize:
         def held():
             return {k: v.size for k, v in vars(snaps).items() if isinstance(v, np.ndarray)}
 
-        assert [f.name for f in fields(snaps)] == ["bins", "spacing", "betas", "half"]
-        assert held() == {"bins": cube, "betas": snaps.betas.size}
+        assert [f.name for f in fields(snaps)] == ["bins", "spacing", "half"]
+        assert held() == {"bins": cube}
         save_dataset(snaps, tmp_path / "data.txt")
-        assert held() == {"bins": cube, "betas": snaps.betas.size}
+        assert held() == {"bins": cube}
 
     def test_reproducible_and_prefix_stable(self, pulse_wave):
         kw = dict(
@@ -327,7 +343,6 @@ class TestSynthesize:
         a = synthesize(pulse_wave, num_snapshots=8, seed=11, **kw)
         b = synthesize(pulse_wave, num_snapshots=8, seed=11, **kw)
         assert np.array_equal(a.bins, b.bins)
-        assert np.array_equal(a.betas, b.betas)
         # snapshot streams are keyed by (seed, snapshot): a shorter run is a
         # prefix of a longer one, so parallel generation cannot change results
         c = synthesize(pulse_wave, num_snapshots=4, seed=11, **kw)
@@ -347,11 +362,6 @@ class TestSynthesize:
             assert snaps.bins.shape == (n, s_count, m)
             assert snaps.bins.flags.c_contiguous
             assert (snaps.num_samples, snaps.num_snapshots, snaps.num_sensors) == (n, s_count, m)
-
-    def test_truth_retained(self, pulse_wave):
-        snaps = one_path_snaps(pulse_wave, angle_deg=5.0, delay=1.0, snapshots=3)
-        assert snaps.betas.shape == (3, 1)
-        assert np.allclose(snaps.betas, 1.0)
 
     def test_sensor_power_closed_form(self, pulse_wave):
         # Monte-Carlo mean power per sensor against the independence-based
@@ -417,7 +427,6 @@ class TestNumBins:
             assert kept.bins.shape == (n // 2 + 1, 25, m)
             assert kept.bins.flags.c_contiguous
             assert np.array_equal(kept.bins, full.bins[:n // 2 + 1]), m
-            assert np.array_equal(kept.betas, full.betas)
             assert kept.half and not full.half
 
     @pytest.mark.parametrize("n", [128, 50])
@@ -445,11 +454,11 @@ class TestFadingModel:
         # K = 5 at E|beta|^2 = 2: nu^2 = 2K/(1+K), 2 sigma^2 = 2/(1+K)
         fm = FadingModel(kind="rician", nu=1.2909944487358056, sigma=0.408248290463863)
         assert fm.nu**2 / (2 * fm.sigma**2) == pytest.approx(5.0)
-        assert fm.mean_square() == pytest.approx(2.0)
+        assert fading_power(fm) == pytest.approx(2.0)
         rng = np.random.default_rng(1)
         b = fm.draw(rng, 100_000)
         assert abs(b.mean()) < 0.02
-        assert np.mean(np.abs(b) ** 2) == pytest.approx(fm.mean_square(), rel=0.02)
+        assert np.mean(np.abs(b) ** 2) == pytest.approx(fading_power(fm), rel=0.02)
 
     def test_suzuki_moments(self):
         fm = FadingModel(kind="suzuki", sigma=1.0, mean_db=0.0, std_db=6.0)
@@ -457,7 +466,7 @@ class TestFadingModel:
         b = fm.draw(rng, 100_000)
         assert abs(b.mean()) < 0.02
         # heavier tails than Rayleigh: give the sample mean a looser 5%
-        assert np.mean(np.abs(b) ** 2) == pytest.approx(fm.mean_square(), rel=0.05)
+        assert np.mean(np.abs(b) ** 2) == pytest.approx(fading_power(fm), rel=0.05)
 
     def test_cross_path_independence(self):
         rng = np.random.default_rng(3)
@@ -470,7 +479,7 @@ class TestFadingModel:
         rng = np.random.default_rng(4)
         fm = FadingModel(kind="deterministic", beta=0.5 - 0.25j)
         assert np.all(fm.draw(rng, 10) == 0.5 - 0.25j)
-        assert fm.mean_square() == pytest.approx(0.3125)
+        assert fading_power(fm) == pytest.approx(0.3125)
 
     @pytest.mark.parametrize("kind", sorted(RANDOM_FADING))
     def test_snapshot_path_draw_moments(self, kind):
@@ -479,7 +488,7 @@ class TestFadingModel:
         fm = RANDOM_FADING[kind]
         b = fm.draw(np.random.default_rng(5), (100_000, 3))
         assert b.shape == (100_000, 3)
-        power = fm.mean_square()
+        power = fading_power(fm)
         assert np.all(np.abs(b.mean(axis=0)) < 0.02 * np.sqrt(power))
         assert np.mean(np.abs(b) ** 2, axis=0) == pytest.approx([power] * 3, rel=0.05)
         for i, j in ((0, 1), (1, 2), (0, 2)):
@@ -522,7 +531,6 @@ class TestDatasetIO:
         assert np.array_equal(samples, time_series(snaps))  # repr-exact samples
         assert loaded.num_sensors == 4
         assert loaded.spacing == 0.5
-        assert loaded.betas is None
         ref = np.fft.fft(samples, axis=-1)
         assert np.abs(spectra(loaded) - ref).max() < 1e-10 * np.abs(ref).max()
 

@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jade import (EstimationError, default_scenario, generate_pulse, scenario_from_dict,
-                  select_band, spectrum)
+from jade import EstimationError, default_scenario, generate_pulse, scenario_from_dict, spectrum
 from jade.cli import main
 
 
@@ -34,23 +33,26 @@ class TestPulseCommand:
         assert t[0] == -16.0 and np.isfinite(g).all()
 
         header, rows = read_csv(tmp_path / "pulse_spectrum.csv")
-        assert header == ["omega", "magnitude", "phase", "phase_unwrapped"]
-        omega = np.array([float(r[0]) for r in rows])
+        assert header == ["omega", "magnitude", "phase"]
+        omega, magnitude, phase = np.array(rows, dtype=float).T
         assert len(rows) == 128
         assert np.all(np.diff(omega) > 0)  # sorted for plotting
-        # the unwrapped phase is written over exactly the estimator's band, and
-        # differs from the principal phase by whole turns
-        has_unwrapped = np.array([r[3] != "" for r in rows])
-        bins = np.rint(omega[has_unwrapped] * 128 / (2 * np.pi)).astype(int)
-        band = select_band(spectrum(generate_pulse(default_scenario().resolved().pulse)), 0.1)
-        assert len(band) > 3 and bins.tolist() == list(band)
-        phase = np.array([float(r[2]) for r in rows])[has_unwrapped]
-        turns = (np.array([float(r[3]) for r in rows if r[3] != ""]) - phase) / (2 * np.pi)
-        assert np.allclose(turns, np.round(turns), atol=1e-9)
+        # every bin's magnitude and principal phase, bin q at omega = 2*pi*q/N
+        bins = np.rint(omega * 128 / (2 * np.pi)).astype(int) % 128
+        g = spectrum(generate_pulse(default_scenario().resolved().pulse))
+        assert np.array_equal(magnitude, np.abs(g)[bins])
+        assert np.array_equal(phase, np.angle(g)[bins])
 
     def test_ignores_the_keys_only_synthesis_reads(self, tmp_path):
         assert main(["pulse", "--out", str(tmp_path / "a")]) == 0
         assert main(["pulse", "--set", "noise_var=-1", "--out", str(tmp_path / "b")]) == 0
+        for name in ("pulse_waveform.csv", "pulse_spectrum.csv"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+    def test_ignores_the_estimation_keys(self, tmp_path):
+        # the pulse CSVs hold no estimation stage, so a band_threshold no run accepts is not read
+        assert main(["pulse", "--out", str(tmp_path / "a")]) == 0
+        assert main(["pulse", "--set", "band_threshold=2", "--out", str(tmp_path / "b")]) == 0
         for name in ("pulse_waveform.csv", "pulse_spectrum.csv"):
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 

@@ -27,6 +27,8 @@ from jade import generate_pulse, monte_carlo, scenario_from_dict, spectrum
 from jade.channel import delayed_pulse_spectrum, steering_vector
 from jade.pulse import omega_grid
 
+from conftest import fading_power
+
 
 def single_path_crb(cfg):
     """√CRB of the one path of ``cfg``: (angle in degrees, delay in samples)."""
@@ -37,7 +39,7 @@ def single_path_crb(cfg):
     power = np.abs(g) ** 2
     omega = omega_grid(n)
     # twice the signal-to-noise ratio of one (bin, sensor) cell per unit |g|^2, times S
-    snr = 2 * cfg.num_snapshots * cfg.fading.mean_square() / (n * cfg.noise_var)
+    snr = 2 * cfg.num_snapshots * fading_power(cfg.fading) / (n * cfg.noise_var)
     omega_bar = (power * omega).sum() / power.sum()
     crb_delay = 1 / (snr * m * (power * (omega - omega_bar) ** 2).sum())
     phase = 2 * np.pi * cfg.array.spacing * (np.arange(m) - (m - 1) / 2)
@@ -73,7 +75,7 @@ def joint_crb(cfg):
     q, _ = np.linalg.qr(np.hstack(signatures))
     r = q.shape[1]
     v, d_theta, d_tau = (q.conj().T @ x for x in signatures)  # coordinates in the span
-    power, nu = cfg.fading.mean_square(), n * cfg.noise_var
+    power, nu = fading_power(cfg.fading), n * cfg.noise_var
     c_inv = np.linalg.inv(power * v @ v.conj().T + nu * np.eye(r))
     derivatives = []  # ∂R/∂θ_l, ∂R/∂τ_l, ∂R/∂P_l, ∂R/∂ν, in the span
     for d in (d_theta, d_tau):

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from jade import PulseConfig, ValidationError, generate_pulse, spectrum, unwrap_phase
+from jade import PulseConfig, ValidationError, generate_pulse, spectrum
 from jade.pulse import omega_grid
-
-from conftest import wrap_to_principal
 
 
 def zero_bit_cfg(**kw):
@@ -174,19 +172,6 @@ class TestSpectrum:
         peak_bin = int(np.argmax(magnitude[1 : n // 2 + 1])) + 1
         assert peak_bin < edge_bin
 
-    def test_passband_phase_unwrapped_lengths(self, keyed_pulse):
-        from jade import select_band
-
-        _, _, spec = keyed_pulse
-        band = np.array(select_band(spec, 0.1))
-        phase = np.angle(spec)
-        phase_unwrapped = unwrap_phase(phase[band])
-        assert len(phase_unwrapped) == len(band)
-        assert np.all(np.diff(band) == 1)
-        # unwrapped phase differs from the principal phase by 2*pi integers
-        k = (phase_unwrapped - phase[band]) / (2 * np.pi)
-        assert np.allclose(k, np.round(k), atol=1e-9)
-
     def test_rejects_too_short(self):
         with pytest.raises(ValidationError, match=">= 2 samples"):
             spectrum(np.array([1.0]))
@@ -203,52 +188,3 @@ class TestSpectrum:
         # spectrum owns the checks of the pulse samples: every stage takes its pulse from it
         with pytest.raises(ValidationError, match=match):
             spectrum(wave)
-
-
-class TestUnwrapPhase:
-    def test_single_wrap_event(self):
-        out = unwrap_phase([0.0, np.pi - 0.1, -(np.pi - 0.1)])
-        assert np.allclose(out, [0.0, np.pi - 0.1, np.pi + 0.1], atol=1e-12)
-
-    def test_constant_sequence(self):
-        out = unwrap_phase([1.3, 1.3, 1.3])
-        assert np.allclose(out, [1.3, 1.3, 1.3])
-
-    def test_ramp_recovery(self):
-        omega = np.linspace(0.0, 3.0, 400)
-        line = -0.5 * omega + 0.3
-        out = unwrap_phase(wrap_to_principal(line))
-        offset = out - line
-        k = offset[0] / (2 * np.pi)
-        assert k == pytest.approx(round(k), abs=1e-9)
-        assert np.allclose(offset, offset[0], atol=1e-9)
-
-    def test_output_minus_input_is_2pi_integers(self):
-        rng = np.random.default_rng(7)
-        phi = rng.uniform(-np.pi, np.pi, 200)
-        out = unwrap_phase(phi)
-        k = (out - phi) / (2 * np.pi)
-        assert np.allclose(k, np.round(k), atol=1e-9)
-
-    def test_round_trip_random_smooth(self):
-        # smooth = successive differences below pi; recovery exact up to one
-        # global 2*pi*k
-        rng = np.random.default_rng(123)
-        for _ in range(100):
-            steps = rng.uniform(-0.9 * np.pi, 0.9 * np.pi, 50)
-            seq = rng.uniform(-10, 10) + np.concatenate([[0.0], np.cumsum(steps)])
-            out = unwrap_phase(wrap_to_principal(seq))
-            offset = (out - seq) / (2 * np.pi)
-            assert np.allclose(offset, round(offset[0]), atol=1e-9)
-
-    def test_axis_handling(self):
-        rng = np.random.default_rng(5)
-        block = rng.uniform(-np.pi, np.pi, (3, 4, 30))
-        out = unwrap_phase(block, axis=-1)
-        for i in range(3):
-            for j in range(4):
-                assert np.allclose(out[i, j], unwrap_phase(block[i, j]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            unwrap_phase([0.0, np.nan, 1.0])
