@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 CONFIG_SCHEMA = 1
-REPORT_SCHEMA = "jade-report/3"
+REPORT_SCHEMA = "jade-report/4"
 
 
 @dataclass
@@ -260,14 +260,11 @@ class RunReport:
     """
 
     version: str = __version__
-    seed: int
     config: Optional[dict] = None  # None only in a Monte Carlo trial's report, never emitted
-    sines_est: List[float]
     angles_est_deg: List[float]
     amplitudes: List[float]
     singular_values: List[float]
     estimate_valid: bool
-    clamped: bool
     band_start: int
     band_stop: int
     angles_true_deg: Optional[List[float]] = None
@@ -335,13 +332,10 @@ def _estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) -
     del snaps
     delays = _stage("fit_delay", fit_delay, beams, pulse_spec, band)
     return RunReport(
-        seed=cfg.seed,
-        sines_est=modes.sines.tolist(),
         angles_est_deg=modes.angles_deg.tolist(),
         amplitudes=modes.amplitudes.tolist(),
         singular_values=modes.singular_values.tolist(),
         estimate_valid=bool(modes.valid),
-        clamped=bool(modes.clamped),
         band_start=band[0],
         band_stop=band[-1],
         slope_median=(-delays.delay_median).tolist(),

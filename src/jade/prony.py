@@ -72,9 +72,9 @@ class ModeEstimate:
     ``sines`` holds sin(angle) per mode, sorted ascending, and ``roots``
     the pencil eigenvalues in the same order; ``amplitudes`` are the real
     parts of the least-squares mode amplitudes, which are real up to
-    rounding because the two-sided sequence is Hermitian. ``valid`` is
-    False when a mode left the unit circle or a |sin| overshoot was too
-    large to clamp silently.
+    rounding because the two-sided sequence is Hermitian. A sine clipped to
+    ±1 reads as an angle of exactly ±90°. ``valid`` is False when a mode
+    left the unit circle or a |sin| overshoot was too large to clip silently.
     """
 
     sines: np.ndarray
@@ -82,7 +82,6 @@ class ModeEstimate:
     amplitudes: np.ndarray
     roots: np.ndarray
     singular_values: np.ndarray
-    clamped: bool = False
     valid: bool = True
 
 
@@ -114,7 +113,6 @@ def svd_prony(corr: CorrelationSequence, cfg: PronyConfig) -> ModeEstimate:
     with np.errstate(divide="ignore"):  # a white sequence (c_0 alone) gives z = 0
         damping = np.abs(np.log(np.abs(roots))).max()
     overshoot = np.abs(sines) - 1.0
-    clamped = bool(np.any(overshoot > 0))
     valid = not (damping > _DAMPING_TOL or np.any(overshoot > _CLAMP_TOL))
     sines_c = np.clip(sines, -1.0, 1.0)
     angles_deg = np.degrees(np.arcsin(sines_c))
@@ -128,6 +126,5 @@ def svd_prony(corr: CorrelationSequence, cfg: PronyConfig) -> ModeEstimate:
         amplitudes=amp.real,
         roots=roots,
         singular_values=sing,
-        clamped=clamped,
         valid=valid,
     )

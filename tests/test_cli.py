@@ -193,7 +193,7 @@ class TestRunCommand:
         assert main(["run", *SMALL]) == 0
         out = capsys.readouterr().out
         report = json.loads(out)
-        assert report["schema"] == "jade-report/3"
+        assert report["schema"] == "jade-report/4"
         assert abs(report["angles_est_deg"][0] + 10.0) < 0.1
         assert "timing_s" not in report
 
@@ -219,12 +219,12 @@ class TestRunCommand:
         cfg.write_text("schema = 1\nsensors = 16\nsnapshots = 10\nseed = 2\n")
         assert main(["run", "--config", str(cfg), "--seed", "9"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["seed"] == 9
+        assert report["config"]["seed"] == 9
         assert report["config"]["sensors"] == 16
 
 
-RUN_KEYS = ["schema", "version", "seed", "config", "sines_est", "angles_est_deg", "amplitudes",
-            "singular_values", "estimate_valid", "clamped", "band_start", "band_stop",
+RUN_KEYS = ["schema", "version", "config", "angles_est_deg", "amplitudes",
+            "singular_values", "estimate_valid", "band_start", "band_stop",
             "angles_true_deg", "delays_true", "angle_errors_deg", "delay_errors",
             "slope_median", "delay_median", "delay_mean"]
 TRUTH_KEYS = {"angles_true_deg", "delays_true", "angle_errors_deg", "delay_errors"}
@@ -332,7 +332,6 @@ class TestScenarioKeys:
         cfg.write_text("sensors = 16\nsnapshots = 10\nseed = 2\n")
         assert main(["run", "--config", str(cfg), "--set", "seed=4", "--seed", "9"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["seed"] == 9
         assert report["config"]["seed"] == 9
         assert report["config"]["bits_seed"] == 9
 

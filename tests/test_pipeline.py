@@ -195,6 +195,20 @@ class TestRunPipeline:
         assert report.artifacts is not None
         assert report.artifacts.delays.objective.shape == (len(cfg.paths), 2 * 128)
 
+    def test_a_clipped_sine_reads_as_90_degrees(self):
+        # noise takes the pencil's sine for the path at 89.9 degrees to 1.001; it is
+        # clipped to 1, which reads as exactly 90, and the overshoot flags the fit
+        cfg = scenario_from_dict({"sensors": 16, "snapshots": 50, "noise_var": 1, "spacing": 0.4,
+                                  "angles_deg": "0,89.9", "delays": "3,7", "seed": 1})
+        report = json.loads(run_pipeline(cfg).to_json())
+        assert 90.0 in np.abs(report["angles_est_deg"])
+        assert report["estimate_valid"] is False
+
+    def test_the_angles_carry_the_pencil_sines(self):
+        report = run_pipeline(default_scenario(), keep_artifacts=True)
+        sines = np.sin(np.radians(report.angles_est_deg))
+        assert np.abs(sines - report.artifacts.modes.sines).max() <= 2e-16
+
 
 class TestEstimate:
     def full_and_half(self, cfg):

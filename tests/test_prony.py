@@ -56,7 +56,7 @@ class TestValidityRule:
     def test_exact_data_stays_valid(self, recwarn):
         corr = sequence_from_modes([-0.7, 0.4, 1.3], [1.0, 0.8, 1.5], num_lags=24)
         est = svd_prony(corr, PronyConfig(num_modes=3))
-        assert est.valid and not est.clamped
+        assert est.valid and np.all(np.abs(est.angles_deg) < 90.0)
         assert np.abs(np.abs(est.roots) - 1.0).max() < 1e-10
         assert len(recwarn) == 0
 
@@ -83,7 +83,7 @@ class TestSvdProny:
         assert est.sines[0] == pytest.approx(0.25464790894703254, abs=1e-10)
         assert est.angles_deg[0] == pytest.approx(14.752723110539105, abs=1e-8)
         assert abs(est.roots[0] - np.exp(0.8j)) < 1e-8
-        assert est.valid and not est.clamped
+        assert est.valid and np.all(np.abs(est.angles_deg) < 90.0)
 
     def test_two_exponentials_amplitudes(self):
         corr = sequence_from_modes([0.3, 1.1], [2.0, 1.0], num_lags=64)
@@ -156,7 +156,7 @@ class TestSvdProny:
         corr = CorrelationSequence(values=np.exp(3.0j * lags), spacing=0.4)
         est = svd_prony(corr, PronyConfig(num_modes=1))
         assert not est.valid
-        assert est.clamped
+        assert abs(est.angles_deg[0]) == 90.0  # the clipped sine
         assert abs(est.sines[0]) <= 1.0
 
     def test_config_validation(self):
