@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 DATASET_MAGIC = "JADE1"
+# every byte but the two separators, deleted from a data line to check their order
+_NOT_A_SEPARATOR = bytes(set(range(256)) - set(b":,"))
 
 # Noise is drawn about this many (snapshot, bin) sensor vectors at a time, 1 MB
 # at 64 sensors, so a block is still in cache when it is written into ``bins``.
@@ -296,18 +298,17 @@ def _parse_header(line: str) -> dict:
     parts = line.split()
     if not parts or parts[0] != DATASET_MAGIC:
         raise ValidationError(f"not a {DATASET_MAGIC} dataset (bad header)")
-    fields = {}
-    for tok in parts[1:]:
-        key, _, val = tok.partition("=")
-        fields[key] = val
+    fields = dict(tok.partition("=")[::2] for tok in parts[1:])
     try:
+        if len(parts) != 5 or fields.keys() != {"M", "N", "S", "delta"}:
+            raise ValueError("need M, N, S and delta, each once, and nothing else")
         return {
             "M": int(fields["M"]),
             "N": int(fields["N"]),
             "S": int(fields["S"]),
             "delta": float(fields["delta"]),
         }
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"malformed dataset header: {line!r}") from exc
 
 
@@ -330,6 +331,7 @@ def load_dataset(path) -> SnapshotSet:
         except MemoryError as exc:
             raise ValidationError(f"dataset header M={m} N={n} S={s_count}: {exc}") from exc
         series = np.empty((m, n), dtype=complex)
+        separators = b":," * (n - 1) + b":"  # what a line holds once its numbers are deleted
         for s in range(s_count):
             for k in range(m):
                 line = fh.readline()
@@ -352,6 +354,10 @@ def load_dataset(path) -> SnapshotSet:
                     ) from exc
                 if not np.isfinite(series[k]).all():
                     raise ValidationError(f"non-finite sample at snapshot {s}, sensor {k}")
+                if line.encode().translate(None, _NOT_A_SEPARATOR) != separators:
+                    raise ValidationError(
+                        f"expected {n} comma-separated re:im pairs (snapshot {s}, sensor {k})"
+                    )
             bins[:, s] = np.fft.fft(series, axis=-1).T
         if any(line.strip() for line in fh):
             raise ValidationError(f"dataset has data lines beyond the header's S={s_count}")

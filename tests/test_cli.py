@@ -164,8 +164,11 @@ class TestSimulateEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
 
-    # S=1 leaves the file's second snapshot as lines beyond the header's S*M
-    @pytest.mark.parametrize("field", ["S=-1", "delta=0.0", "M=1", "delta=nan", "S=1", "M=abc"])
+    # S=1 leaves the file's second snapshot as lines beyond the header's S*M; the
+    # last three append a second M (equal to the first), a token with no value and a
+    # key no header has
+    @pytest.mark.parametrize("field", ["S=-1", "delta=0.0", "M=1", "delta=nan", "S=1", "M=abc",
+                                       "delta=0.5 M=16", "delta=0.5 junk", "delta=0.5 X=9"])
     def test_estimate_rejects_malformed_header(self, tmp_path, capsys, field):
         data = tmp_path / "snaps.txt"
         main(["simulate", *SMALL, "--set", "snapshots=2", "--out", str(data)])
@@ -186,6 +189,36 @@ class TestSimulateEstimate:
             capsys.readouterr()
             assert main(["estimate", *SMALL, "--data", str(data)]) == 2
             assert capsys.readouterr().err == f"error: {error} sample at snapshot 0, sensor 0\n"
+
+    @pytest.mark.parametrize("form", ["colons", "commas", "swapped", "uneven"])
+    def test_estimate_rejects_a_line_that_is_not_re_im_pairs(self, tmp_path, capsys, form):
+        # each form holds 2N numbers, so only the order of its separators is wrong
+        data = tmp_path / "snaps.txt"
+        main(["simulate", *SMALL, "--set", "snapshots=2", "--out", str(data)])
+        *lines, last = data.read_text().splitlines()
+        last = {"colons": last.replace(",", ":"),
+                "commas": last.replace(":", ","),
+                "swapped": last.translate(str.maketrans(":,", ",:")),
+                "uneven": ",".join(last.replace(",", ":", 1).rsplit(":", 1))}[form]
+        data.write_text("\n".join([*lines, last]) + "\n")
+        capsys.readouterr()
+        assert main(["estimate", *SMALL, "--data", str(data)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: expected 128 comma-separated re:im pairs (snapshot 1, sensor 15)\n")
+
+    def test_run_equals_simulate_then_estimate_on_a_noisy_scenario(self, tmp_path, capsys):
+        # run synthesizes only bins 0..N/2; estimate reads the full set back from text
+        args = ["--snapshots", "20", "--set", "sensors=8", "--set", "noise_var=1", "--seed", "4"]
+        data = tmp_path / "noisy.txt"
+        assert main(["run", *args]) == 0
+        run = json.loads(capsys.readouterr().out)
+        assert main(["simulate", *args, "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", *args, "--data", str(data)]) == 0
+        est = json.loads(capsys.readouterr().out)
+        for key in ("angles_est_deg", "delay_median"):
+            assert len(run[key]) == len(est[key]) == 2, key
+            assert np.abs(np.subtract(run[key], est[key])).max() <= 1e-9, key
 
 
 class TestRunCommand:
@@ -415,6 +448,17 @@ class TestMonteCarloCommand:
         assert len(report["trials"]) == 3
         assert len(report["angle_rmse_deg"]) == 2
 
+    def test_flagged_fits_show_in_the_report_not_on_stderr(self, capsys):
+        # below the SNR threshold most fits are flagged; every warning issued would be shown
+        args = ["--trials", "20", "--seed", "3", "--set", "sensors=16", "--set", "snapshots=50",
+                "--set", "noise_var=100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main(["montecarlo", *args]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert any(not trial["estimate_valid"] for trial in json.loads(captured.out)["trials"])
+
     def test_failed_trials_are_counted_on_stderr(self, monkeypatch, capsys):
         from jade.prony import svd_prony
         calls = {"n": 0}
@@ -444,7 +488,7 @@ class TestExitCodes:
                            ("prediction_order", "2"), ("prediction_order", "z")):
             assert main(["run", "--set", f"{key}={value}"]) == 2
             assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
-        for key, value in (("weighted_fit", "false"), ("prediction_order", "7")):
+        for key, value in (("weighted_fit", "false"), ("prediction_order", "7"), ("rank", "2")):
             cfg = tmp_path / "scenario.cfg"
             cfg.write_text(f"sensors = 8\n{key} = {value}\n")
             assert main(["run", "--snapshots", "5", "--config", str(cfg)]) == 2
@@ -659,3 +703,11 @@ class TestExitCodes:
 
         monkeypatch.setattr("jade.pipeline.svd_prony", boom)
         assert main(["estimate", *SMALL, "--data", str(data)]) == 3
+
+    def test_estimation_failure_from_a_dataset_is_3(self, tmp_path, capsys):
+        # an all-zero dataset: the estimator, not the loader, finds nothing to fit
+        data = tmp_path / "zero.txt"
+        data.write_text("JADE1 M=4 N=128 S=2 delta=0.5\n" + (",".join(["0:0"] * 128) + "\n") * 8)
+        assert main(["estimate", "--data", str(data)]) == 3
+        assert capsys.readouterr() == (
+            "", "estimation failed: [prony] Hankel matrix is numerically zero\n")
