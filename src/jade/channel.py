@@ -339,12 +339,11 @@ def load_dataset(path) -> SnapshotSet:
                     raise ValidationError(
                         f"dataset truncated at snapshot {s}, sensor {k}"
                     )
-                cells = line.strip().replace(":", ",").split(",")
-                if len(cells) != 2 * n:
+                if line.encode().translate(None, _NOT_A_SEPARATOR) != separators:
                     raise ValidationError(
-                        f"expected {n} re:im samples per line, got "
-                        f"{len(cells) // 2} (snapshot {s}, sensor {k})"
+                        f"expected {n} comma-separated re:im pairs (snapshot {s}, sensor {k})"
                     )
+                cells = line.strip().replace(":", ",").split(",")
                 try:
                     # the re, im pairs are a complex row's memory layout
                     series[k] = np.asarray(cells, dtype=float).view(complex)
@@ -354,10 +353,6 @@ def load_dataset(path) -> SnapshotSet:
                     ) from exc
                 if not np.isfinite(series[k]).all():
                     raise ValidationError(f"non-finite sample at snapshot {s}, sensor {k}")
-                if line.encode().translate(None, _NOT_A_SEPARATOR) != separators:
-                    raise ValidationError(
-                        f"expected {n} comma-separated re:im pairs (snapshot {s}, sensor {k})"
-                    )
             bins[:, s] = np.fft.fft(series, axis=-1).T
         if any(line.strip() for line in fh):
             raise ValidationError(f"dataset has data lines beyond the header's S={s_count}")

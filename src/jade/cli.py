@@ -164,14 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pulse(args) -> int:
     # the pulse `jade run` transmits: its bits are drawn from the scenario seed
-    cfg = _load_scenario(args).resolved()
+    cfg = _load_scenario(args)
     _write_pulse_csvs(cfg, args.out)
     print(f"wrote {args.out / 'pulse_waveform.csv'} and {args.out / 'pulse_spectrum.csv'}")
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_scenario(args).resolved()
+    cfg = _load_scenario(args)
     wave = generate_pulse(cfg.pulse)
     snaps = synthesize(
         wave, cfg.paths, cfg.array, cfg.fading, cfg.num_snapshots, cfg.noise_var, cfg.seed
@@ -187,7 +187,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = _load_scenario(args)
-    cfg.resolved().pulse.validate()  # before parsing the dataset, which gives the array
+    cfg.pulse.validate()  # before parsing the dataset, which gives the array
     _emit_report(args, estimate(load_dataset(args.data), cfg))
     return EXIT_OK
 

@@ -72,24 +72,17 @@ class ScenarioConfig:
         """The matrix-pencil settings: one mode per path."""
         return PronyConfig(len(self.paths))
 
-    def resolved(self) -> "ScenarioConfig":
-        """Draw absent pulse bits from the scenario seed.
-
-        Only the seed is checked here, as the pulse bits and the trial seeds
-        derive from it; every other setting is checked by the stage that reads it.
-        """
+    def __post_init__(self) -> None:
+        """Check the seed and draw absent pulse bits from it; each stage checks what it reads."""
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        pulse = self.pulse
-        if pulse.bits is None and pulse.bits_seed is None:
-            pulse = replace(pulse, bits_seed=self.seed)
-        return replace(self, pulse=pulse)
+        if self.pulse.bits is None and self.pulse.bits_seed is None:
+            self.pulse = replace(self.pulse, bits_seed=self.seed)
 
     def to_dict(self) -> dict:
         """Flat echo in :data:`CONFIG_KEYS` order; feeding it back rebuilds this scenario."""
-        cfg = self.resolved()
-        echo = ((key, row.echo(cfg)) for key, row in CONFIG_KEYS.items()
-                if not row.fading or cfg.fading.kind in row.fading)
+        echo = ((key, row.echo(self)) for key, row in CONFIG_KEYS.items()
+                if not row.fading or self.fading.kind in row.fading)
         return {key: value for key, value in echo if value is not None}
 
 
@@ -149,7 +142,7 @@ _FLOATS = _expect("comma-separated numbers", _floats)
 
 
 class _Key(NamedTuple):
-    """One config key: parser, default, and the echo of a resolved scenario (None: left out)."""
+    """One config key: parser, default, and its echo of a scenario (None: left out)."""
 
     parse: Callable[[str, object], object]
     default: object
@@ -179,7 +172,7 @@ CONFIG_KEYS = {
     "seed": _Key(_INT, 1, lambda c: c.seed, estimate=True),
     "bits": _Key(_BITS, None, lambda c: None if c.pulse.bits is None
                  else "".join(str(int(b)) for b in np.asarray(c.pulse.bits)), estimate=True),
-    # resolved() draws absent bits from the scenario seed
+    # a scenario without bits or bits_seed draws its bits from its seed
     "bits_seed": _Key(_INT, None, lambda c: c.pulse.bits_seed if c.pulse.bits is None else None,
                       estimate=True),
     "beta_re": _Key(_FLOAT, 1.0, lambda c: c.fading.beta.real, ("deterministic",)),
@@ -298,7 +291,7 @@ def _stage(name: str, fn, *args, **kwargs):
 def estimate(snaps: SnapshotSet, cfg: ScenarioConfig) -> RunReport:
     """Estimate angles and delays from ``snaps`` for the known pulse of ``cfg``.
 
-    Resolves ``cfg`` and generates its pulse as :func:`run_pipeline` does, then
+    Generates the pulse of ``cfg`` as :func:`run_pipeline` does, then
     runs its estimation stages: pulse spectrum, band selection, spatial
     correlation, matrix pencil (angles), beamforming, delay periodogram (delays).
     ``snaps`` must hold the pulse's N bins, or N/2+1 if ``half`` (else a
@@ -309,7 +302,6 @@ def estimate(snaps: SnapshotSet, cfg: ScenarioConfig) -> RunReport:
     fields and keeps the stage outputs in ``artifacts``, none of which refers to
     ``snaps``; unlike :func:`run_pipeline`, this call leaves the set to its caller.
     """
-    cfg = cfg.resolved()
     started = time.perf_counter()
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
     n = len(pulse_wave)
@@ -355,7 +347,6 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
     a fixed (config, seed). Only bins 0..N/2, which hold every band
     :func:`select_band` picks, are synthesized.
     """
-    cfg = cfg.resolved()
     started = time.perf_counter()
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
     return replace(_run(cfg, pulse_wave, keep_artifacts), config=cfg.to_dict(),
@@ -363,7 +354,7 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
 
 
 def _run(cfg: ScenarioConfig, pulse_wave: np.ndarray, keep_artifacts: bool = False) -> RunReport:
-    """:func:`run_pipeline` without echo or timing, for a resolved ``cfg`` and its pulse."""
+    """:func:`run_pipeline` without echo or timing, for ``cfg`` and its pulse."""
     report = _estimate(_stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array,
                               cfg.fading, cfg.num_snapshots, cfg.noise_var, cfg.seed,
                               half=True), pulse_wave, cfg)
@@ -437,15 +428,13 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
     Trials run in order with seeds derived from (config seed, trial
     index). The pulse is generated once per call, so every trial observes
     the same known pulse and only the fading/noise realizations differ. A
-    trial equals :func:`run_pipeline` on the resolved base config with the
-    trial's seed. Trials that fail to estimate are reported with their error
-    and excluded from the bias/RMSE aggregates; flagged trials (``estimate_valid``
-    false) are counted and kept in them. A setting a stage rejects fails the
-    whole call.
+    trial equals ``run_pipeline(replace(cfg, seed=trial_seed))``. Trials that
+    fail to estimate are reported with their error and excluded from the
+    bias/RMSE aggregates; flagged trials (``estimate_valid`` false) are counted
+    and kept in them. A setting a stage rejects fails the whole call.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
-    cfg = cfg.resolved()
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
     _stage("synthesize", cfg.array.validate)  # the trials' array check, and its warning, once
     with warnings.catch_warnings():

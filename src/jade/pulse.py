@@ -43,7 +43,7 @@ class PulseConfig:
         when omitted.
     bits_seed : int, optional
         Seed for the generator that draws ``bits`` when they are not
-        supplied. Defaults to 0 so a bare config is still deterministic.
+        supplied; one of the two must be given.
     """
 
     rolloff: float
@@ -89,9 +89,9 @@ class PulseConfig:
         self.validate()
         if self.bits is not None:
             return np.asarray(self.bits, dtype=int)
-        seed = 0 if self.bits_seed is None else self.bits_seed
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, 2, size=self.symbol_count)
+        if self.bits_seed is None:
+            raise ValidationError("a pulse needs bits or a bits_seed")
+        return np.random.default_rng(self.bits_seed).integers(0, 2, size=self.symbol_count)
 
 
 def omega_grid(n: int) -> np.ndarray:

@@ -124,7 +124,7 @@ def test_criterion_4_prony_oracle():
 
 
 def test_criterion_5_structural_invariants():
-    pulse_cfg = default_scenario().resolved().pulse
+    pulse_cfg = default_scenario().pulse
     wave = generate_pulse(pulse_cfg)
     spec = spectrum(wave)
 
@@ -175,7 +175,7 @@ def test_criterion_5_structural_invariants():
 def test_criterion_6_matched_beamformer_magnitude():
     from jade import beamform
 
-    scenario = default_scenario().resolved()
+    scenario = default_scenario()
     wave = generate_pulse(scenario.pulse)
     spec = spectrum(wave)
     snaps = synthesize(

@@ -553,7 +553,7 @@ class TestDatasetIO:
         assert load_peak <= 1.5
 
     def test_half_set_is_not_saved(self, tmp_path):
-        cfg = default_scenario().resolved()
+        cfg = default_scenario()
         wave = generate_pulse(cfg.pulse)
         kw = dict(pulse=wave, paths=cfg.paths, arr=cfg.array, fading=cfg.fading,
                   num_snapshots=3, noise_var=cfg.noise_var, seed=cfg.seed)
@@ -608,5 +608,5 @@ class TestDatasetIO:
         lines[1] = lines[1][: lines[1].rindex(",")]
         (tmp_path / "short.txt").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError,
-                           match=r"expected 128 re:im samples per line, got 127 \(snapshot 0, sensor 0\)"):
+                           match=r"expected 128 comma-separated re:im pairs \(snapshot 0, sensor 0\)"):
             load_dataset(tmp_path / "short.txt")

@@ -39,7 +39,7 @@ class TestPulseCommand:
         assert np.all(np.diff(omega) > 0)  # sorted for plotting
         # every bin's magnitude and principal phase, bin q at omega = 2*pi*q/N
         bins = np.rint(omega * 128 / (2 * np.pi)).astype(int) % 128
-        g = spectrum(generate_pulse(default_scenario().resolved().pulse))
+        g = spectrum(generate_pulse(default_scenario().pulse))
         assert np.array_equal(magnitude, np.abs(g)[bins])
         assert np.array_equal(phase, np.angle(g)[bins])
 
@@ -62,7 +62,7 @@ class TestPulseCommand:
         assert main(["pulse", "--seed", "7", "--out", str(tmp_path / "b")]) == 0
         _, rows = read_csv(tmp_path / "a" / "pulse_waveform.csv")
         t, g = np.array(rows, dtype=float).T
-        pulse = default_scenario().resolved().pulse
+        pulse = default_scenario().pulse
         assert np.array_equal(t, pulse.times)
         assert np.array_equal(g, generate_pulse(pulse))
         seeded = (tmp_path / "b" / "pulse_waveform.csv").read_bytes()
@@ -330,7 +330,7 @@ class TestConfigEcho:
             echo = cfg.to_dict()
             again = scenario_from_dict(echo)
             assert again.to_dict() == echo, fading
-            assert again.resolved() == cfg.resolved(), fading
+            assert again == cfg, fading
 
 
 class TestScenarioKeys:

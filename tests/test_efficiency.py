@@ -32,7 +32,6 @@ from conftest import fading_power
 
 def single_path_crb(cfg):
     """√CRB of the one path of ``cfg``: (angle in degrees, delay in samples)."""
-    cfg = cfg.resolved()
     (path,) = cfg.paths
     g = spectrum(generate_pulse(cfg.pulse))
     n, m = len(g), cfg.array.num_sensors
@@ -58,7 +57,6 @@ def joint_crb(cfg):
     with C = QᴴRQ, so each trace is over r×r matrices; the rest of the space
     adds (D − r)/ν² to ν's own entry. No D×D matrix is formed.
     """
-    cfg = cfg.resolved()
     g = spectrum(generate_pulse(cfg.pulse))
     n, m, num_paths = len(g), cfg.array.num_sensors, len(cfg.paths)
     angles = [p.angle_deg for p in cfg.paths]

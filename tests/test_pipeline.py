@@ -30,11 +30,11 @@ from jade.pipeline import CONFIG_KEYS, _estimate, estimate, read_config, trial_s
 
 
 def small_scenario(**kw):
-    base = default_scenario()
+    # built from keys, so its pulse draws its bits from seed 3
+    base = scenario_from_dict({"seed": 3})
     fields = dict(
         array=ArrayConfig(16, 0.5),
         num_snapshots=20,
-        seed=3,
     )
     fields.update(kw)
     return replace(base, **fields)
@@ -160,7 +160,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("noise_var", [0.0, 0.5], ids=["noiseless", "noisy"])
     def test_report_equals_estimate_on_the_full_set(self, noise_var):
         # the half set run_pipeline synthesizes gives the report of the full set
-        cfg = small_scenario(noise_var=noise_var).resolved()
+        cfg = small_scenario(noise_var=noise_var)
         wave = generate_pulse(cfg.pulse)
         full = synthesize(wave, cfg.paths, cfg.array, cfg.fading, cfg.num_snapshots,
                           cfg.noise_var, cfg.seed)
@@ -220,7 +220,7 @@ class TestEstimate:
     def test_rejects_a_pulse_of_another_length(self, half):
         # a 136-sample pulse on a 128-bin set used to return delays 3.44 / 7.69
         # (truth 3 / 7) with estimate_valid true
-        cfg = small_scenario().resolved()
+        cfg = small_scenario()
         sets = self.full_and_half(cfg)
         other = replace(cfg, pulse=replace(cfg.pulse, symbol_count=34))
         with pytest.raises(ValidationError, match="does not fit a pulse of N=136"):
@@ -228,23 +228,26 @@ class TestEstimate:
 
     @pytest.mark.parametrize("noise_var", [0.0, 0.5], ids=["noiseless", "noisy"])
     def test_a_half_set_gives_the_report_of_the_full_set(self, noise_var):
-        cfg = small_scenario(noise_var=noise_var).resolved()
+        cfg = small_scenario(noise_var=noise_var)
         full, half = self.full_and_half(cfg)
         assert half.half and half.num_samples == 65
         assert estimate(half, cfg).to_json() == estimate(full, cfg).to_json()
 
-    def test_resolves_an_unresolved_scenario(self):
-        # unresolved, the pulse draws its bits from seed 0, not the seed 3 the echo
-        # names; estimating with that pulse gives delays 3.384 / 7.542
-        cfg = replace(small_scenario(noise_var=1.0), num_snapshots=50)
-        full, _ = self.full_and_half(cfg.resolved())
+    def test_a_pulse_without_bits_takes_the_scenario_seed(self):
+        # built with neither bits nor bits_seed, the pulse draws its bits from the
+        # scenario seed 3; bit seed 0 would give delays 3.384 / 7.542 here
+        base = default_scenario()
+        cfg = ScenarioConfig(PulseConfig(0.35, 0.25, 32, 4), ArrayConfig(16, 0.5), base.paths,
+                             base.fading, num_snapshots=50, noise_var=1.0, band_threshold=0.1,
+                             seed=3)
+        assert cfg.pulse.bits_seed == cfg.seed == 3
+        full, _ = self.full_and_half(cfg)
         report = estimate(full, cfg)
-        assert report.to_json() == estimate(full, cfg.resolved()).to_json()
         assert report.config["bits_seed"] == 3
         assert np.round(report.delay_median, 3).tolist() == [3.007, 7.011]
 
     def test_the_stages_read_a_view_of_bins_0_to_n_half(self, monkeypatch):
-        cfg = small_scenario().resolved()
+        cfg = small_scenario()
         full, _ = self.full_and_half(cfg)
         read = []
 
@@ -262,9 +265,9 @@ class TestMonteCarlo:
     def test_single_trial_matches_direct_run(self):
         cfg = small_scenario()
         mc = monte_carlo(cfg, trials=1)
-        # trials share the base config's resolved pulse bits; only the
+        # trials share the base config's pulse bits; only the
         # fading/noise seed is re-derived per trial
-        direct = run_pipeline(replace(cfg.resolved(), seed=trial_seed(cfg.seed, 0)))
+        direct = run_pipeline(replace(cfg, seed=trial_seed(cfg.seed, 0)))
         # every key of the trial but its index, seed and status is the report's
         entry = mc.trials[0]
         fields = set(entry) - {"trial", "seed", "ok"}
@@ -402,7 +405,13 @@ class TestConfigHandling:
             "sigma": 1.0, "snapshots": 200, "noise_var": 0.0, "band_threshold": 0.1,
             "seed": 1,
         }
-        assert default_scenario().resolved().prony == PronyConfig(num_modes=2)
+        assert default_scenario().prony == PronyConfig(num_modes=2)
+
+    def test_replacing_the_seed_keeps_the_pulse(self):
+        # the pulse took its bit seed from the seed the scenario was built with
+        cfg = default_scenario()
+        assert cfg.pulse.bits_seed == cfg.seed == 1
+        assert replace(cfg, seed=5).pulse == cfg.pulse
 
     def test_readme_config_table_names_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -533,14 +542,16 @@ class TestConfigHandling:
 
     def test_scenario_validation(self):
         cases = [({"num_snapshots": 0}, "snapshots must be >= 1"),
-                 ({"band_threshold": 1.0}, r"band_threshold must be in \[0, 1\)"),
-                 ({"seed": -1}, "^seed must be >= 0")]
+                 ({"band_threshold": 1.0}, r"band_threshold must be in \[0, 1\)")]
         for fields, message in cases:
             cfg = replace(default_scenario(), **fields)
             with pytest.raises(ValidationError, match=message):
                 run_pipeline(cfg)
             with pytest.raises(ValidationError, match=message):
                 monte_carlo(cfg, trials=2)
+        # the seed is checked when the scenario is built
+        with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+            replace(default_scenario(), seed=-1)
 
     @pytest.mark.parametrize(
         "prony,ok",

@@ -76,7 +76,7 @@ def test_echo_rebuilds_the_scenario(raw):
     echo = cfg.to_dict()
     again = scenario_from_dict(echo)
     assert again.to_dict() == echo
-    assert again.resolved() == cfg.resolved()
+    assert again == cfg
     assert scenario_from_dict(as_text(echo)).to_dict() == echo
 
 

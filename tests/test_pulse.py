@@ -46,6 +46,10 @@ class TestPulseConfig:
         assert np.array_equal(a, b)
         assert set(np.unique(a)) <= {0, 1}
 
+    def test_a_pulse_needs_bits_or_a_bits_seed(self):
+        with pytest.raises(ValidationError, match="bits or a bits_seed"):
+            generate_pulse(PulseConfig(0.35, 0.25, 32, 4))
+
 
 class TestGeneratePulse:
     def test_value_at_zero_is_one(self):
