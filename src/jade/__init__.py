@@ -9,61 +9,21 @@ all snapshots, the delay half of RELAX, Li & Stoica 1996).
 
 __version__ = "0.1.0"
 
-from .exceptions import EstimationError, JadeError, ValidationError
-from .pulse import PulseConfig, generate_pulse, spectrum
-from .channel import (
-    ArrayConfig,
-    FadingModel,
-    PathParam,
-    SnapshotSet,
-    load_dataset,
-    save_dataset,
-    steering_vector,
-    synthesize,
-)
-from .correlation import CorrelationSequence, estimate_correlation, select_band
-from .prony import ModeEstimate, PronyConfig, svd_prony
-from .delay import DelayEstimate, beamform, fit_delay
-from .pipeline import (
-    MonteCarloReport,
-    RunReport,
-    ScenarioConfig,
-    default_scenario,
-    monte_carlo,
-    run_pipeline,
-    scenario_from_dict,
-)
+# Each module declares its public names in its own __all__; the package re-exports them.
+from . import exceptions, pulse, channel, correlation, prony, delay, pipeline
+from .exceptions import *
+from .pulse import *
+from .channel import *
+from .correlation import *
+from .prony import *
+from .delay import *
+from .pipeline import *
 
-__all__ = [
-    "__version__",
-    "JadeError",
-    "ValidationError",
-    "EstimationError",
-    "PulseConfig",
-    "generate_pulse",
-    "spectrum",
-    "ArrayConfig",
-    "PathParam",
-    "FadingModel",
-    "SnapshotSet",
-    "steering_vector",
-    "synthesize",
-    "save_dataset",
-    "load_dataset",
-    "CorrelationSequence",
-    "select_band",
-    "estimate_correlation",
-    "PronyConfig",
-    "ModeEstimate",
-    "svd_prony",
-    "DelayEstimate",
-    "beamform",
-    "fit_delay",
-    "ScenarioConfig",
-    "RunReport",
-    "MonteCarloReport",
-    "default_scenario",
-    "run_pipeline",
-    "monte_carlo",
-    "scenario_from_dict",
-]
+__all__ = ["__version__"]
+__all__ += exceptions.__all__
+__all__ += pulse.__all__
+__all__ += channel.__all__
+__all__ += correlation.__all__
+__all__ += prony.__all__
+__all__ += delay.__all__
+__all__ += pipeline.__all__

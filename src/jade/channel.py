@@ -241,11 +241,10 @@ def synthesize(
     kept = upper if half else n
 
     m = arr.num_sensors
-    # fixed across snapshots; steering_vector checks the array and draw the fading model
-    delayed = delayed_pulse_spectrum(spectrum(pulse), [p.delay for p in paths])
-    steering = steering_vector(arr, [p.angle_deg for p in paths])
-
     try:
+        # fixed across snapshots; steering_vector checks the array and draw the fading model
+        delayed = delayed_pulse_spectrum(spectrum(pulse), [p.delay for p in paths])
+        steering = steering_vector(arr, [p.angle_deg for p in paths])
         betas = fading.draw(np.random.default_rng([seed, 0]), (num_snapshots, len(paths)))
         if noise_var == 0:
             # one GEMM: (kept, L) delayed spectra by C-ordered (L, S*M) coefficients, no copy

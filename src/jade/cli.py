@@ -1,12 +1,5 @@
-"""Command-line harness.
-
-Subcommands
------------
-pulse : write the pulse waveform and spectrum as CSV.
-simulate : synthesize snapshots and write them as a text dataset.
-estimate : run the estimation chain on a dataset file, report as JSON.
-run : full in-memory synthesis + estimation, report as JSON.
-montecarlo : repeated seeded runs with bias/RMSE aggregates.
+"""Command-line harness: one subcommand per parser in :func:`build_parser`, each
+carrying its handler (``jade --help`` lists them).
 
 Exit codes: 0 on success, 2 on a configuration/validation error or a file that
 cannot be opened, 3 on an estimation failure.
@@ -135,26 +128,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pulse = sub.add_parser("pulse", help="write pulse waveform/spectrum CSVs")
+    p_pulse.set_defaults(handler=_cmd_pulse)
     _add_common(p_pulse)
     p_pulse.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
     p_sim = sub.add_parser("simulate", help="synthesize snapshots to a dataset file")
+    p_sim.set_defaults(handler=_cmd_simulate)
     _add_common(p_sim)
     p_sim.add_argument("--out", type=Path, default=Path("dataset.txt"), help="dataset path")
 
     p_est = sub.add_parser("estimate", help="estimate angles/delays from a dataset file")
+    p_est.set_defaults(handler=_cmd_estimate)
     _add_common(p_est)
     p_est.add_argument("--data", type=Path, required=True, help="dataset file to read")
     p_est.add_argument("--out", type=Path, help="directory for report/dumps (default: stdout only)")
     p_est.add_argument("--dump", action="store_true", help=DUMP_HELP)
 
     p_run = sub.add_parser("run", help="synthesize + estimate in one go")
+    p_run.set_defaults(handler=_cmd_run)
     _add_common(p_run)
     p_run.add_argument("--out", type=Path, help="directory for report/dumps (default: stdout only)")
     p_run.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     p_run.add_argument("--dump", action="store_true", help=DUMP_HELP)
 
     p_mc = sub.add_parser("montecarlo", help="repeated seeded runs with aggregates")
+    p_mc.set_defaults(handler=_cmd_montecarlo)
     _add_common(p_mc)
     p_mc.add_argument("--trials", type=int, default=4, help="number of trials")
     p_mc.add_argument("--out", type=Path, help="directory for the report (default: stdout only)")
@@ -207,22 +205,13 @@ def _cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "pulse": _cmd_pulse,
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "run": _cmd_run,
-    "montecarlo": _cmd_montecarlo,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "dump", False) and args.out is None:
             raise ValidationError("--dump needs --out, the directory its CSVs go to")
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

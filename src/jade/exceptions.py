@@ -2,6 +2,8 @@
 
 from contextlib import contextmanager
 
+__all__ = ["JadeError", "ValidationError", "EstimationError"]
+
 
 class JadeError(Exception):
     """Base class for all package errors."""

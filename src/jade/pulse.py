@@ -110,24 +110,28 @@ def generate_pulse(cfg: PulseConfig) -> np.ndarray:
     raised-cosine factors (t = 0 and |t| = 1/(2*rolloff)) are replaced by
     their limits.
     """
-    bits = cfg.resolve_bits()
-    t = cfg.times
+    try:
+        bits = cfg.resolve_bits()
+        t = cfg.times
 
-    # One bit per symbol period [k, k+1); the window spans symbol_count periods
-    # centred on t = 0, so the index shift is symbol_count / 2.
-    idx = np.floor(t).astype(int) + cfg.symbol_count // 2
-    keyed_phase = np.pi * bits[idx]
+        # One bit per symbol period [k, k+1); the window spans symbol_count periods
+        # centred on t = 0, so the index shift is symbol_count / 2.
+        idx = np.floor(t).astype(int) + cfg.symbol_count // 2
+        keyed_phase = np.pi * bits[idx]
 
-    # sin(pi t)/(pi t) with the t=0 limit handled by numpy's sinc.
-    sinc_term = np.sinc(t)
+        # sin(pi t)/(pi t) with the t=0 limit handled by numpy's sinc.
+        sinc_term = np.sinc(t)
 
-    rho = cfg.rolloff
-    denom = 1.0 - 4.0 * rho * rho * t * t
-    singular = np.isclose(np.abs(t), 1.0 / (2.0 * rho), rtol=0.0, atol=1e-12)
-    safe_denom = np.where(singular, 1.0, denom)
-    rolloff_term = np.where(singular, np.pi / 4.0, np.cos(np.pi * rho * t) / safe_denom)
+        rho = cfg.rolloff
+        denom = 1.0 - 4.0 * rho * rho * t * t
+        singular = np.isclose(np.abs(t), 1.0 / (2.0 * rho), rtol=0.0, atol=1e-12)
+        safe_denom = np.where(singular, 1.0, denom)
+        rolloff_term = np.where(singular, np.pi / 4.0, np.cos(np.pi * rho * t) / safe_denom)
 
-    return sinc_term * rolloff_term * np.cos(2.0 * np.pi * cfg.carrier_freq * t + keyed_phase)
+        return sinc_term * rolloff_term * np.cos(2.0 * np.pi * cfg.carrier_freq * t + keyed_phase)
+    except MemoryError as exc:  # the sizes are settings: too large is a bad setting
+        raise ValidationError(
+            f"symbols={cfg.symbol_count} at oversample={cfg.oversample}: {exc}") from exc
 
 
 def spectrum(wave: np.ndarray, band_threshold: float = 0.1) -> np.ndarray:

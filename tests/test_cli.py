@@ -511,22 +511,38 @@ class TestExitCodes:
     # Sizes above 2**47 bytes, more than a Linux process's default address space, so
     # the allocation fails at once whatever the overcommit setting and nothing is touched:
     # the header asks for 8.2e15 bytes of bins, the snapshot count for 3.2e16 bytes of
-    # fading draws.
-    @pytest.mark.parametrize("command", ["estimate", "simulate", "run", "montecarlo"])
-    def test_size_that_cannot_be_allocated_is_2(self, tmp_path, capsys, command):
-        data = tmp_path / "huge.txt"
-        data.write_text("JADE1 M=4 N=128 S=1000000000000 delta=0.5\n" + "0:0," * 127 + "0:0\n")
-        huge = ["--set", "sensors=8", "--set", "snapshots=1000000000000000"]
+    # fading draws, the sensor count for 8e15 bytes of sensor indices, the oversampling
+    # for 2.6e16 bytes of sample times and the symbol count for 8e15 bytes of drawn bits.
+    # jade pulse reads no array, so only the pulse length fails it.
+    @pytest.mark.parametrize("command, size", [
+        pytest.param("estimate", "header", id="estimate"),
+        *(pytest.param(c, "snapshots", id=c) for c in ("simulate", "run", "montecarlo")),
+        *(pytest.param(c, "sensors", id=f"{c}-sensors") for c in ("simulate", "run", "montecarlo")),
+        *(pytest.param(c, "oversample", id=f"{c}-oversample")
+          for c in ("pulse", "simulate", "estimate", "run", "montecarlo")),
+        pytest.param("pulse", "symbols", id="pulse-symbols"),
+    ])
+    def test_size_that_cannot_be_allocated_is_2(self, tmp_path, capsys, command, size):
+        data = tmp_path / "data.txt"
+        snapshots = 1000000000000 if size == "header" else 1
+        data.write_text(f"JADE1 M=4 N=128 S={snapshots} delta=0.5\n" + 4 * ("0:0," * 127 + "0:0\n"))
+        huge = {"header": [],
+                "snapshots": ["--set", "sensors=8", "--set", "snapshots=1000000000000000"],
+                "sensors": ["--set", "sensors=1000000000000000"],
+                "oversample": ["--set", "oversample=100000000000000"],
+                "symbols": ["--set", "symbols=1000000000000000"]}[size]
+        out = tmp_path / "out"
         argv = {"estimate": ["estimate", "--data", str(data)],
-                "simulate": ["simulate", *huge, "--out", str(tmp_path / "out.txt")],
-                "run": ["run", *huge],
-                "montecarlo": ["montecarlo", "--trials", "2", *huge]}[command]
-        assert main(argv) == 2
+                "pulse": ["pulse", "--out", str(out)],
+                "simulate": ["simulate", "--out", str(out)],
+                "run": ["run"],
+                "montecarlo": ["montecarlo", "--trials", "2"]}[command]
+        assert main([*argv, *huge]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ") and "Unable to allocate" in captured.err
-        assert not (tmp_path / "out.txt").exists()
+        assert not out.exists()
 
     def test_non_numeric_value_in_config_file_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"

@@ -107,6 +107,14 @@ class TestGeneratePulse:
             with pytest.raises(ValidationError, match="even"):
                 PulseConfig(0.35, 0.25, count, 4).validate()
 
+    # 2.6e16 bytes of sample times, or 8e15 bytes of drawn bits: above 2**47 bytes, so
+    # the allocation fails at once whatever the overcommit setting
+    @pytest.mark.parametrize("symbols, oversample", [(32, 10**14), (10**15, 4)])
+    def test_a_pulse_too_long_for_memory_is_a_validation_error(self, symbols, oversample):
+        with pytest.raises(ValidationError, match=f"symbols={symbols} at oversample={oversample}: "
+                                                  "Unable to allocate"):
+            generate_pulse(PulseConfig(0.35, 0.25, symbols, oversample, bits_seed=0))
+
     def test_grid_definition(self):
         cfg = zero_bit_cfg()
         wave = generate_pulse(cfg)
