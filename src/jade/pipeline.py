@@ -231,8 +231,10 @@ def read_config(path) -> dict:
                 continue
             if "=" not in stripped:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in stripped.partition("="))
+            if key in raw:
+                raise ValidationError(f"{path}:{lineno}: {key} is set again")
+            raw[key] = value
     return raw
 
 
@@ -253,7 +255,7 @@ class RunReport:
     """
 
     version: str = __version__
-    config: Optional[dict] = None  # None only in a Monte Carlo trial's report, never emitted
+    config: dict
     angles_est_deg: List[float]
     amplitudes: List[float]
     singular_values: List[float]
@@ -267,7 +269,7 @@ class RunReport:
     slope_median: List[float]
     delay_median: List[float]
     delay_mean: List[float]
-    timing_s: float = 0.0
+    timing_s: float
     artifacts: Optional[PipelineArtifacts] = None
 
     def to_dict(self, include_timing: bool = False) -> dict:
@@ -309,13 +311,16 @@ def estimate(snaps: SnapshotSet, cfg: ScenarioConfig) -> RunReport:
         raise ValidationError(f"a set of {snaps.num_samples} bins does not fit a pulse of N={n}")
     echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.spacing,
                 snapshots=snaps.num_snapshots)
-    report = _estimate(replace(snaps, bins=snaps.bins[:n // 2 + 1], half=True), pulse_wave, cfg)
-    return replace(report, config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate},
-                   timing_s=time.perf_counter() - started)
+    values, artifacts = _estimate(replace(snaps, bins=snaps.bins[:n // 2 + 1], half=True),
+                                  pulse_wave, cfg)
+    return RunReport(config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate}, **values,
+                     timing_s=time.perf_counter() - started, artifacts=artifacts)
 
 
-def _estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) -> RunReport:
-    """:func:`estimate` without echo or timing; frees a set no caller holds after beamforming."""
+def _estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig,
+              paths: Optional[List[PathParam]] = None) -> Tuple[dict, PipelineArtifacts]:
+    """:func:`estimate`'s fields and stage outputs, plus truth and errors given the
+    scenario's ``paths``; frees a set no caller holds after beamforming."""
     pulse_spec = _stage("spectrum", spectrum, pulse_wave)
     band = _stage("select_band", select_band, pulse_spec, cfg.band_threshold)
     corr = _stage("correlation", estimate_correlation, snaps, band)
@@ -323,7 +328,7 @@ def _estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) -
     beams = _stage("beamform", beamform, snaps, modes.sines)
     del snaps
     delays = _stage("fit_delay", fit_delay, beams, pulse_spec, band)
-    return RunReport(
+    values = dict(
         angles_est_deg=modes.angles_deg.tolist(),
         amplitudes=modes.amplitudes.tolist(),
         singular_values=modes.singular_values.tolist(),
@@ -334,8 +339,15 @@ def _estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig) -
         # the benchmark still reads both names of the one delay per path
         delay_median=delays.delay_median.tolist(),
         delay_mean=delays.delay_median.tolist(),
-        artifacts=PipelineArtifacts(corr, modes, delays),
     )
+    if paths is not None:
+        # Truth is matched to estimates in sin(angle) order; both sides sorted.
+        truth = [paths[i] for i in np.argsort([p.sin_angle for p in paths])]
+        values.update(angles_true_deg=[p.angle_deg for p in truth],
+                      delays_true=[p.delay for p in truth])
+        values.update(angle_errors_deg=(modes.angles_deg - values["angles_true_deg"]).tolist(),
+                      delay_errors=(delays.delay_median - values["delays_true"]).tolist())
+    return values, PipelineArtifacts(corr, modes, delays)
 
 
 def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport:
@@ -349,28 +361,16 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
     """
     started = time.perf_counter()
     pulse_wave = _stage("pulse", generate_pulse, cfg.pulse)
-    return replace(_run(cfg, pulse_wave, keep_artifacts), config=cfg.to_dict(),
-                   timing_s=time.perf_counter() - started)
+    values, artifacts = _run(cfg, pulse_wave)
+    return RunReport(config=cfg.to_dict(), **values, timing_s=time.perf_counter() - started,
+                     artifacts=artifacts if keep_artifacts else None)
 
 
-def _run(cfg: ScenarioConfig, pulse_wave: np.ndarray, keep_artifacts: bool = False) -> RunReport:
-    """:func:`run_pipeline` without echo or timing, for ``cfg`` and its pulse."""
-    report = _estimate(_stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array,
-                              cfg.fading, cfg.num_snapshots, cfg.noise_var, cfg.seed,
-                              half=True), pulse_wave, cfg)
-
-    # Truth is matched to estimates in sin(angle) order; both sides sorted.
-    order = np.argsort([p.sin_angle for p in cfg.paths])
-    angles_true = [cfg.paths[i].angle_deg for i in order]
-    delays_true = [cfg.paths[i].delay for i in order]
-    return replace(
-        report,
-        angles_true_deg=angles_true,
-        delays_true=delays_true,
-        angle_errors_deg=(np.asarray(report.angles_est_deg) - angles_true).tolist(),
-        delay_errors=(np.asarray(report.delay_median) - delays_true).tolist(),
-        artifacts=report.artifacts if keep_artifacts else None,
-    )
+def _run(cfg: ScenarioConfig, pulse_wave: np.ndarray) -> Tuple[dict, PipelineArtifacts]:
+    """:func:`run_pipeline`'s fields and stage outputs, for ``cfg`` and its pulse."""
+    return _estimate(_stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array,
+                            cfg.fading, cfg.num_snapshots, cfg.noise_var, cfg.seed, half=True),
+                     pulse_wave, cfg, cfg.paths)
 
 
 def trial_seed(base_seed: int, trial: int) -> int:
@@ -413,12 +413,12 @@ def _run_trial(cfg: ScenarioConfig, pulse_wave: np.ndarray, trial: int) -> dict:
     seed = trial_seed(cfg.seed, trial)
     entry = {"trial": trial, "seed": seed}
     try:
-        report = _run(replace(cfg, seed=seed), pulse_wave)
+        values, _ = _run(replace(cfg, seed=seed), pulse_wave)
     except EstimationError as exc:  # a ValidationError is the config's: it fails the whole call
         entry.update({"ok": False, "error": str(exc)})
         return entry
     entry["ok"] = True
-    entry.update((key, getattr(report, key)) for key in TRIAL_FIELDS)
+    entry.update((key, values[key]) for key in TRIAL_FIELDS)
     return entry
 
 

@@ -368,6 +368,15 @@ class TestScenarioKeys:
         assert report["config"]["seed"] == 9
         assert report["config"]["bits_seed"] == 9
 
+    def test_a_key_set_twice_in_the_file_is_2(self, tmp_path, capsys):
+        # --set and the flags still override the file; the file itself sets each key once
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("seed = 1\nsensors = 8\nseed = 2\n")
+        assert main(["run", "--snapshots", "5", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:3: seed is set again\n"
+
     def test_set_fading_kind_keeps_the_files_parameters(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("sensors = 16\nsnapshots = 10\nfading = rician\nnu = 1\n")

@@ -17,6 +17,7 @@ from jade import (
     PathParam,
     PronyConfig,
     PulseConfig,
+    RunReport,
     ScenarioConfig,
     ValidationError,
     default_scenario,
@@ -208,6 +209,37 @@ class TestRunPipeline:
         report = run_pipeline(default_scenario(), keep_artifacts=True)
         sines = np.sin(np.radians(report.angles_est_deg))
         assert np.abs(sines - report.artifacts.modes.sines).max() <= 2e-16
+
+    def test_each_report_is_built_once(self, monkeypatch):
+        # a replace() calls __init__ too, so this counts rebuilt reports; a Monte
+        # Carlo trial copies its fields and builds none
+        calls = {"n": 0}
+        real_init = RunReport.__init__
+
+        def counting(report, **kwargs):
+            calls["n"] += 1
+            real_init(report, **kwargs)
+
+        monkeypatch.setattr(RunReport, "__init__", counting)
+        cfg = small_scenario(num_snapshots=5)
+        run_pipeline(cfg)
+        assert calls["n"] == 1
+        calls["n"] = 0
+        snaps = synthesize(generate_pulse(cfg.pulse), cfg.paths, cfg.array, cfg.fading,
+                           cfg.num_snapshots, cfg.noise_var, cfg.seed)
+        estimate(snaps, cfg)
+        assert calls["n"] == 1
+        calls["n"] = 0
+        monte_carlo(cfg, trials=3)
+        assert calls["n"] == 0
+
+    @pytest.mark.parametrize("key", ["config", "timing_s"])
+    def test_a_report_needs_its_config_and_timing(self, key):
+        kwargs = dict(vars(run_pipeline(small_scenario(num_snapshots=5))))
+        RunReport(**kwargs)
+        del kwargs[key]
+        with pytest.raises(TypeError, match=key):
+            RunReport(**kwargs)
 
 
 class TestEstimate:
@@ -489,6 +521,13 @@ class TestConfigHandling:
     def test_mismatched_path_lists_rejected(self):
         with pytest.raises(ValidationError):
             scenario_from_dict({"angles_deg": "-10,20", "delays": "3"})
+
+    def test_a_key_set_twice_rejected(self, tmp_path):
+        # the file's later value does not silently win
+        path = tmp_path / "dup.cfg"
+        path.write_text("seed = 1\n# a comment\n seed=2 \n")
+        with pytest.raises(ValidationError, match=r"dup\.cfg:3: seed is set again$"):
+            read_config(path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
