@@ -42,25 +42,6 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_pulse_csvs(cfg: ScenarioConfig, out_dir: Path) -> None:
-    wave = generate_pulse(cfg.pulse)
-    g = spectrum(wave)
-    # the pulse settings are checked by now, so a rejected one makes no directory
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "pulse_waveform.csv",
-        ["t", "g"],
-        zip(cfg.pulse.times, wave),
-    )
-    omega = omega_grid(len(g))
-    order = np.argsort(omega)
-    _write_csv(
-        out_dir / "pulse_spectrum.csv",
-        ["omega", "magnitude", "phase"],
-        zip(omega[order], np.abs(g)[order], np.angle(g)[order]),
-    )
-
-
 def _write_dumps(art, out_dir: Path) -> None:
     """The stage CSVs: the two-sided correlation, the pencil's roots (one per
     path, in sin(angle) order) and each path's delay periodogram on its grid."""
@@ -160,16 +141,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_pulse(args) -> int:
+def _cmd_pulse(args, cfg: ScenarioConfig) -> int:
     # the pulse `jade run` transmits: its bits are drawn from the scenario seed
-    cfg = _load_scenario(args)
-    _write_pulse_csvs(cfg, args.out)
+    wave = generate_pulse(cfg.pulse)
+    g = spectrum(wave)
+    # the pulse settings are checked by now, so a rejected one makes no directory
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_csv(args.out / "pulse_waveform.csv", ["t", "g"], zip(cfg.pulse.times, wave))
+    omega = omega_grid(len(g))
+    order = np.argsort(omega)
+    _write_csv(args.out / "pulse_spectrum.csv", ["omega", "magnitude", "phase"],
+               zip(omega[order], np.abs(g)[order], np.angle(g)[order]))
     print(f"wrote {args.out / 'pulse_waveform.csv'} and {args.out / 'pulse_spectrum.csv'}")
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_scenario(args)
+def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
     wave = generate_pulse(cfg.pulse)
     snaps = synthesize(
         wave, cfg.paths, cfg.array, cfg.fading, cfg.num_snapshots, cfg.noise_var, cfg.seed
@@ -183,21 +170,18 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate(args) -> int:
-    cfg = _load_scenario(args)
+def _cmd_estimate(args, cfg: ScenarioConfig) -> int:
     cfg.pulse.validate()  # before parsing the dataset, which gives the array
     _emit_report(args, estimate(load_dataset(args.data), cfg))
     return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_scenario(args)
+def _cmd_run(args, cfg: ScenarioConfig) -> int:
     _emit_report(args, run_pipeline(cfg, keep_artifacts=args.dump), include_timing=args.timing)
     return EXIT_OK
 
 
-def _cmd_montecarlo(args) -> int:
-    cfg = _load_scenario(args)
+def _cmd_montecarlo(args, cfg: ScenarioConfig) -> int:
     report = monte_carlo(cfg, trials=args.trials)
     _emit(args, report.to_json(), "montecarlo.json")
     if report.num_failed:
@@ -211,7 +195,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "dump", False) and args.out is None:
             raise ValidationError("--dump needs --out, the directory its CSVs go to")
-        return args.handler(args)
+        return args.handler(args, _load_scenario(args))
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -97,8 +97,9 @@ def estimate_correlation(snaps: SnapshotSet, band: range) -> CorrelationSequence
     # Every (bin, snapshot) pair contributes one length-M sensor vector x; the
     # lag-l sum is the l-th superdiagonal of the Gram sum_r conj(x_r) x_r^T. Seen
     # as real (re, im) columns X, the band's contiguous rows give the real Gram
-    # X^T X in one BLAS syrk, whose quarters make (RR + II) + j(RI - IR).
-    xf = rows.view(float)
+    # X^T X in one BLAS syrk, whose quarters make (RR + II) + j(RI - IR). Bins
+    # of another dtype or layout are copied to C-order complex128, never reinterpreted.
+    xf = np.ascontiguousarray(rows, dtype=complex).view(float)
     g = xf.T @ xf
     gram = (g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[0::2, 1::2] - g[1::2, 0::2])
     values = np.array([np.trace(gram, offset=lag) for lag in range(m)])

@@ -1,11 +1,8 @@
 """End-to-end scenario configuration, orchestration and reporting.
 
-A scenario bundles every knob of the synthesis + estimation chain. The
-shipped defaults describe the reference simulation this package is built
-around: a 64-sensor half-wavelength array observing two Rayleigh-faded
-paths (-10 and 20 degrees, delays 3 and 7 samples) of a keyed
-raised-cosine pulse with rolloff 0.35 and carrier 0.25 cycles per symbol,
-sampled over 32 symbols at 4 samples per symbol, noiseless, 200 snapshots.
+A scenario bundles every knob of the synthesis + estimation chain. Its keys
+and their shipped defaults, the reference simulation this package is built
+around, are :data:`CONFIG_KEYS`.
 """
 
 from __future__ import annotations
@@ -148,33 +145,30 @@ class _Key(NamedTuple):
     default: object
     echo: Callable[[ScenarioConfig], object]
     fading: Tuple[str, ...] = ()  # the fading kinds that take the key; () for every kind
-    estimate: bool = False  # estimate() reads it, so its report echoes it
 
 
 # Every config key, in echo order; the shipped defaults are stated here only.
 CONFIG_KEYS = {
-    "schema": _Key(_schema, CONFIG_SCHEMA, lambda c: CONFIG_SCHEMA, estimate=True),
-    "rolloff": _Key(_FLOAT, 0.35, lambda c: c.pulse.rolloff, estimate=True),
-    "carrier_freq": _Key(_FLOAT, 0.25, lambda c: c.pulse.carrier_freq, estimate=True),
-    "symbols": _Key(_INT, 32, lambda c: c.pulse.symbol_count, estimate=True),
-    "oversample": _Key(_INT, 4, lambda c: c.pulse.oversample, estimate=True),
-    "sensors": _Key(_INT, 64, lambda c: c.array.num_sensors, estimate=True),
-    "spacing": _Key(_FLOAT, 0.5, lambda c: c.array.spacing, estimate=True),
+    "schema": _Key(_schema, CONFIG_SCHEMA, lambda c: CONFIG_SCHEMA),
+    "rolloff": _Key(_FLOAT, 0.35, lambda c: c.pulse.rolloff),
+    "carrier_freq": _Key(_FLOAT, 0.25, lambda c: c.pulse.carrier_freq),
+    "symbols": _Key(_INT, 32, lambda c: c.pulse.symbol_count),
+    "oversample": _Key(_INT, 4, lambda c: c.pulse.oversample),
+    "sensors": _Key(_INT, 64, lambda c: c.array.num_sensors),
+    "spacing": _Key(_FLOAT, 0.5, lambda c: c.array.spacing),
     # the path count is the number of modes estimation looks for
-    "angles_deg": _Key(_FLOATS, [-10.0, 20.0], lambda c: [p.angle_deg for p in c.paths],
-                       estimate=True),
-    "delays": _Key(_FLOATS, [3.0, 7.0], lambda c: [p.delay for p in c.paths], estimate=True),
+    "angles_deg": _Key(_FLOATS, [-10.0, 20.0], lambda c: [p.angle_deg for p in c.paths]),
+    "delays": _Key(_FLOATS, [3.0, 7.0], lambda c: [p.delay for p in c.paths]),
     "fading": _Key(_expect(f"one of {FadingModel._KINDS}", _fading_kind), "rayleigh",
                    lambda c: c.fading.kind),
-    "snapshots": _Key(_INT, 200, lambda c: c.num_snapshots, estimate=True),
+    "snapshots": _Key(_INT, 200, lambda c: c.num_snapshots),
     "noise_var": _Key(_FLOAT, 0.0, lambda c: c.noise_var),
-    "band_threshold": _Key(_FLOAT, 0.1, lambda c: c.band_threshold, estimate=True),
-    "seed": _Key(_INT, 1, lambda c: c.seed, estimate=True),
+    "band_threshold": _Key(_FLOAT, 0.1, lambda c: c.band_threshold),
+    "seed": _Key(_INT, 1, lambda c: c.seed),
     "bits": _Key(_BITS, None, lambda c: None if c.pulse.bits is None
-                 else "".join(str(int(b)) for b in np.asarray(c.pulse.bits)), estimate=True),
+                 else "".join(str(int(b)) for b in np.asarray(c.pulse.bits))),
     # a scenario without bits or bits_seed draws its bits from its seed
-    "bits_seed": _Key(_INT, None, lambda c: c.pulse.bits_seed if c.pulse.bits is None else None,
-                      estimate=True),
+    "bits_seed": _Key(_INT, None, lambda c: c.pulse.bits_seed if c.pulse.bits is None else None),
     "beta_re": _Key(_FLOAT, 1.0, lambda c: c.fading.beta.real, ("deterministic",)),
     "beta_im": _Key(_FLOAT, 0.0, lambda c: c.fading.beta.imag, ("deterministic",)),
     "sigma": _Key(_FLOAT, 1.0, lambda c: c.fading.sigma, ("rayleigh", "rician", "suzuki")),
@@ -204,16 +198,13 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         raise ValidationError(
             f"angles_deg ({len(v['angles_deg'])}) and delays ({len(v['delays'])}) differ in length"
         )
-    # the parameters of other kinds keep FadingModel's defaults
-    params = {key: v[key] for key, row in CONFIG_KEYS.items() if kind in row.fading}
-    if kind == "deterministic":
-        params = {"beta": complex(params["beta_re"], params["beta_im"])}
     return ScenarioConfig(
         pulse=PulseConfig(v["rolloff"], v["carrier_freq"], v["symbols"], v["oversample"],
                           v["bits"], v["bits_seed"]),
         array=ArrayConfig(num_sensors=v["sensors"], spacing=v["spacing"]),
         paths=[PathParam(angle_deg=a, delay=d) for a, d in zip(v["angles_deg"], v["delays"])],
-        fading=FadingModel(kind=kind, **params),
+        fading=FadingModel(kind=kind, beta=complex(v["beta_re"], v["beta_im"]), sigma=v["sigma"],
+                           nu=v["nu"], mean_db=v["mean_db"], std_db=v["std_db"]),
         num_snapshots=v["snapshots"],
         noise_var=v["noise_var"],
         band_threshold=v["band_threshold"],
@@ -297,8 +288,9 @@ def estimate(snaps: SnapshotSet, cfg: ScenarioConfig) -> RunReport:
     runs its estimation stages: pulse spectrum, band selection, spatial
     correlation, matrix pencil (angles), beamforming, delay periodogram (delays).
     ``snaps`` must hold the pulse's N bins, or N/2+1 if ``half`` (else a
-    ValidationError); only bins 0..N/2 are read. Only the :data:`CONFIG_KEYS`
-    marked ``estimate`` are read and echoed, with the array and snapshot count of
+    ValidationError); only bins 0..N/2 are read. The report echoes every key of
+    ``cfg`` but its fading and noise (``fading``, ``noise_var`` and each kind's
+    keys), whose effect ``snaps`` holds, with the array and snapshot count of
     ``snaps``. A setting a stage rejects raises its ValidationError; any other
     stage failure is an EstimationError naming the stage. The report has no truth
     fields and keeps the stage outputs in ``artifacts``, none of which refers to
@@ -309,12 +301,13 @@ def estimate(snaps: SnapshotSet, cfg: ScenarioConfig) -> RunReport:
     n = len(pulse_wave)
     if snaps.num_samples != (n // 2 + 1 if snaps.half else n):
         raise ValidationError(f"a set of {snaps.num_samples} bins does not fit a pulse of N={n}")
-    echo = dict(cfg.to_dict(), sensors=snaps.num_sensors, spacing=snaps.spacing,
-                snapshots=snaps.num_snapshots)
+    echo = {k: v for k, v in cfg.to_dict().items()
+            if k not in ("fading", "noise_var") and not CONFIG_KEYS[k].fading}
+    echo.update(sensors=snaps.num_sensors, spacing=snaps.spacing, snapshots=snaps.num_snapshots)
     values, artifacts = _estimate(replace(snaps, bins=snaps.bins[:n // 2 + 1], half=True),
                                   pulse_wave, cfg)
-    return RunReport(config={k: v for k, v in echo.items() if CONFIG_KEYS[k].estimate}, **values,
-                     timing_s=time.perf_counter() - started, artifacts=artifacts)
+    return RunReport(config=echo, **values, timing_s=time.perf_counter() - started,
+                     artifacts=artifacts)
 
 
 def _estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig,

@@ -134,8 +134,12 @@ class TestSimulateEstimate:
         config = json.loads(capsys.readouterr().out)["config"]
         assert (config["sensors"], config["spacing"]) == (16, 0.4)
 
-    @pytest.mark.parametrize("settings", [["noise_var=-1"], ["fading=rician", "sigma=-1"]],
-                             ids=["noise_var", "rician-sigma"])
+    @pytest.mark.parametrize(
+        "settings",
+        [["noise_var=-1"], ["fading=rician", "sigma=-1"], ["fading=deterministic", "beta_re=2"],
+         ["fading=suzuki", "std_db=-1"]],
+        ids=["noise_var", "rician-sigma", "deterministic-beta_re", "suzuki-std_db"],
+    )
     def test_estimate_ignores_the_keys_only_synthesis_reads(self, tmp_path, capsys, settings):
         data = tmp_path / "snaps.txt"
         assert main(["simulate", *SMALL, "--out", str(data)]) == 0

@@ -292,6 +292,15 @@ class TestEstimate:
         assert read[0].bins.shape == (65, 20, 16) and read[0].half
         assert np.shares_memory(read[0].bins, full.bins)
 
+    def test_a_complex64_set_gives_the_angles_of_the_complex128_set(self):
+        # read as float64 pairs, these complex64 bins gave angles of -46.48 / 13.47
+        # degrees (truth -10 / 20)
+        cfg = small_scenario(noise_var=1.0)
+        full, _ = self.full_and_half(cfg)
+        single = replace(full, bins=full.bins.astype(np.complex64))
+        angles = estimate(full, cfg).angles_est_deg
+        assert np.abs(np.subtract(estimate(single, cfg).angles_est_deg, angles)).max() < 0.01
+
 
 class TestMonteCarlo:
     def test_single_trial_matches_direct_run(self):
