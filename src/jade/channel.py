@@ -87,10 +87,6 @@ class PathParam:
                 f"({num_samples / 2} samples)"
             )
 
-    @property
-    def sin_angle(self) -> float:
-        return float(np.sin(np.radians(self.angle_deg)))
-
 
 @dataclass
 class FadingModel:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -310,10 +310,9 @@ def estimate(snaps: SnapshotSet, cfg: ScenarioConfig) -> RunReport:
                      artifacts=artifacts)
 
 
-def _estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig,
-              paths: Optional[List[PathParam]] = None) -> Tuple[dict, PipelineArtifacts]:
-    """:func:`estimate`'s fields and stage outputs, plus truth and errors given the
-    scenario's ``paths``; frees a set no caller holds after beamforming."""
+def _estimate(snaps: SnapshotSet, pulse_wave: np.ndarray,
+              cfg: ScenarioConfig) -> Tuple[dict, PipelineArtifacts]:
+    """:func:`estimate`'s fields and stage outputs; frees a set no caller holds once beamformed."""
     pulse_spec = _stage("spectrum", spectrum, pulse_wave)
     band = _stage("select_band", select_band, pulse_spec, cfg.band_threshold)
     corr = _stage("correlation", estimate_correlation, snaps, band)
@@ -333,13 +332,6 @@ def _estimate(snaps: SnapshotSet, pulse_wave: np.ndarray, cfg: ScenarioConfig,
         delay_median=delays.delay_median.tolist(),
         delay_mean=delays.delay_median.tolist(),
     )
-    if paths is not None:
-        # Truth is matched to estimates in sin(angle) order; both sides sorted.
-        truth = [paths[i] for i in np.argsort([p.sin_angle for p in paths])]
-        values.update(angles_true_deg=[p.angle_deg for p in truth],
-                      delays_true=[p.delay for p in truth])
-        values.update(angle_errors_deg=(modes.angles_deg - values["angles_true_deg"]).tolist(),
-                      delay_errors=(delays.delay_median - values["delays_true"]).tolist())
     return values, PipelineArtifacts(corr, modes, delays)
 
 
@@ -360,10 +352,17 @@ def run_pipeline(cfg: ScenarioConfig, keep_artifacts: bool = False) -> RunReport
 
 
 def _run(cfg: ScenarioConfig, pulse_wave: np.ndarray) -> Tuple[dict, PipelineArtifacts]:
-    """:func:`run_pipeline`'s fields and stage outputs, for ``cfg`` and its pulse."""
-    return _estimate(_stage("synthesize", synthesize, pulse_wave, cfg.paths, cfg.array,
-                            cfg.fading, cfg.num_snapshots, cfg.noise_var, cfg.seed, half=True),
-                     pulse_wave, cfg, cfg.paths)
+    """:func:`run_pipeline`'s fields and stage outputs: the chain's estimate from the set it
+    synthesizes for ``cfg``, then its errors against the paths of ``cfg``, sorted by angle."""
+    values, artifacts = _estimate(_stage("synthesize", synthesize, pulse_wave, cfg.paths,
+                                         cfg.array, cfg.fading, cfg.num_snapshots,
+                                         cfg.noise_var, cfg.seed, half=True), pulse_wave, cfg)
+    truth = sorted(cfg.paths, key=lambda p: p.angle_deg)  # the pencil's sine order
+    true_angles, true_delays = [p.angle_deg for p in truth], [p.delay for p in truth]
+    values.update(angles_true_deg=true_angles, delays_true=true_delays,
+                  angle_errors_deg=np.subtract(values["angles_est_deg"], true_angles).tolist(),
+                  delay_errors=np.subtract(values["delay_median"], true_delays).tolist())
+    return values, artifacts
 
 
 def trial_seed(base_seed: int, trial: int) -> int:
@@ -375,20 +374,36 @@ def trial_seed(base_seed: int, trial: int) -> int:
 class MonteCarloReport:
     """Per-trial results plus bias/RMSE aggregates over successful trials, in JSON order.
 
-    ``num_flagged`` counts the successful trials whose report says
-    ``estimate_valid: false``; the aggregates still include them.
+    It is built from ``config`` and ``trials`` alone: the counts and the
+    aggregates follow from the trial entries. ``num_flagged`` counts the
+    successful trials whose entry says ``estimate_valid: false``; the
+    aggregates still include them, and are None when every trial failed.
     """
 
     version: str = __version__
     config: dict
-    num_trials: int
-    num_failed: int
-    num_flagged: int
-    angle_bias_deg: Optional[List[float]]
-    angle_rmse_deg: Optional[List[float]]
-    delay_bias: Optional[List[float]]
-    delay_rmse: Optional[List[float]]
+    num_trials: int = field(init=False)
+    num_failed: int = field(init=False)
+    num_flagged: int = field(init=False)
+    angle_bias_deg: Optional[List[float]] = field(init=False)
+    angle_rmse_deg: Optional[List[float]] = field(init=False)
+    delay_bias: Optional[List[float]] = field(init=False)
+    delay_rmse: Optional[List[float]] = field(init=False)
     trials: List[dict]
+
+    def __post_init__(self) -> None:
+        ok = [t for t in self.trials if t["ok"]]
+        self.num_trials = len(self.trials)
+        self.num_failed = len(self.trials) - len(ok)
+        self.num_flagged = sum(not t["estimate_valid"] for t in ok)
+        self.angle_bias_deg = self.angle_rmse_deg = self.delay_bias = self.delay_rmse = None
+        if ok:
+            angle_err = np.array([t["angle_errors_deg"] for t in ok])
+            delay_err = np.array([t["delay_errors"] for t in ok])
+            self.angle_bias_deg = angle_err.mean(axis=0).tolist()
+            self.angle_rmse_deg = np.sqrt((angle_err**2).mean(axis=0)).tolist()
+            self.delay_bias = delay_err.mean(axis=0).tolist()
+            self.delay_rmse = np.sqrt((delay_err**2).mean(axis=0)).tolist()
 
     def to_dict(self) -> dict:
         return {"schema": REPORT_SCHEMA + "/montecarlo", **_fields(self)}
@@ -433,24 +448,4 @@ def monte_carlo(cfg: ScenarioConfig, trials: int) -> MonteCarloReport:
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="element spacing")  # not again in each trial
         results = [_run_trial(cfg, pulse_wave, t) for t in range(trials)]
-
-    ok = [r for r in results if r["ok"]]
-    angle_bias = angle_rmse = delay_bias = delay_rmse = None
-    if ok:
-        angle_err = np.array([r["angle_errors_deg"] for r in ok])
-        delay_err = np.array([r["delay_errors"] for r in ok])
-        angle_bias = angle_err.mean(axis=0).tolist()
-        angle_rmse = np.sqrt((angle_err**2).mean(axis=0)).tolist()
-        delay_bias = delay_err.mean(axis=0).tolist()
-        delay_rmse = np.sqrt((delay_err**2).mean(axis=0)).tolist()
-    return MonteCarloReport(
-        config=cfg.to_dict(),
-        trials=results,
-        num_trials=int(trials),
-        num_failed=len(results) - len(ok),
-        num_flagged=sum(not r["estimate_valid"] for r in ok),
-        angle_bias_deg=angle_bias,
-        angle_rmse_deg=angle_rmse,
-        delay_bias=delay_bias,
-        delay_rmse=delay_rmse,
-    )
+    return MonteCarloReport(config=cfg.to_dict(), trials=results)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,12 +20,22 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def wrote_pulse(*dirs):
+    """What `jade pulse` prints for each output directory."""
+    return "".join(f"wrote {d / 'pulse_waveform.csv'} and {d / 'pulse_spectrum.csv'}\n"
+                   for d in dirs)
+
+
+ELAPSED = re.compile(r"(elapsed: \d+\.\d{3} s\n)+")  # one line per report
+
+
 SMALL = ["--set", "sensors=16", "--set", "snapshots=20", "--seed", "3"]
 
 
 class TestPulseCommand:
-    def test_writes_waveform_and_spectrum(self, tmp_path):
+    def test_writes_waveform_and_spectrum(self, tmp_path, capsys):
         assert main(["pulse", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr() == (wrote_pulse(tmp_path), "")
         header, rows = read_csv(tmp_path / "pulse_waveform.csv")
         assert header == ["t", "g"]
         assert len(rows) == 128
@@ -43,23 +54,26 @@ class TestPulseCommand:
         assert np.array_equal(magnitude, np.abs(g)[bins])
         assert np.array_equal(phase, np.angle(g)[bins])
 
-    def test_ignores_the_keys_only_synthesis_reads(self, tmp_path):
+    def test_ignores_the_keys_only_synthesis_reads(self, tmp_path, capsys):
         assert main(["pulse", "--out", str(tmp_path / "a")]) == 0
         assert main(["pulse", "--set", "noise_var=-1", "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr() == (wrote_pulse(tmp_path / "a", tmp_path / "b"), "")
         for name in ("pulse_waveform.csv", "pulse_spectrum.csv"):
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
-    def test_ignores_the_estimation_keys(self, tmp_path):
+    def test_ignores_the_estimation_keys(self, tmp_path, capsys):
         # the pulse CSVs hold no estimation stage, so a band_threshold no run accepts is not read
         assert main(["pulse", "--out", str(tmp_path / "a")]) == 0
         assert main(["pulse", "--set", "band_threshold=2", "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr() == (wrote_pulse(tmp_path / "a", tmp_path / "b"), "")
         for name in ("pulse_waveform.csv", "pulse_spectrum.csv"):
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
-    def test_writes_the_pulse_that_run_transmits(self, tmp_path):
+    def test_writes_the_pulse_that_run_transmits(self, tmp_path, capsys):
         # the bits follow the scenario seed, as in `jade run` and `jade simulate`
         assert main(["pulse", "--out", str(tmp_path / "a")]) == 0
         assert main(["pulse", "--seed", "7", "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr() == (wrote_pulse(tmp_path / "a", tmp_path / "b"), "")
         _, rows = read_csv(tmp_path / "a" / "pulse_waveform.csv")
         t, g = np.array(rows, dtype=float).T
         pulse = default_scenario().pulse
@@ -96,6 +110,8 @@ class TestSimulateEstimate:
             ]
         )
         assert code == 0
+        out, err = capsys.readouterr()
+        assert out == f"wrote {out_dir / 'report.json'}\n" and ELAPSED.fullmatch(err)
         assert json.loads((out_dir / "report.json").read_text()) == report
 
         header, rows = read_csv(out_dir / "correlation.csv")
@@ -150,11 +166,13 @@ class TestSimulateEstimate:
         assert main(["estimate", *SMALL, *args, "--data", str(data)]) == 0
         assert capsys.readouterr().out == expected
 
-    def test_simulate_ignores_the_band_threshold(self, tmp_path):
+    def test_simulate_ignores_the_band_threshold(self, tmp_path, capsys):
         data = tmp_path / "snaps.txt"
         assert main(["simulate", *SMALL, "--out", str(data)]) == 0
         again = tmp_path / "again.txt"
         assert main(["simulate", *SMALL, "--set", "band_threshold=1", "--out", str(again)]) == 0
+        assert capsys.readouterr() == (
+            "".join(f"wrote {path}: S=20 M=16 N=128 seed=3\n" for path in (data, again)), "")
         assert again.read_bytes() == data.read_bytes()
 
     def test_estimate_rejects_mismatched_pulse(self, tmp_path, capsys):
@@ -239,6 +257,8 @@ class TestRunCommand:
             ["run", *SMALL, "--out", str(tmp_path), "--dump", "--timing"]
         )
         assert code == 0
+        out, err = capsys.readouterr()
+        assert out == f"wrote {tmp_path / 'report.json'}\n" and ELAPSED.fullmatch(err)
         report = json.loads((tmp_path / "report.json").read_text())
         assert "timing_s" in report
         assert (tmp_path / "correlation.csv").exists()
@@ -249,6 +269,9 @@ class TestRunCommand:
     def test_deterministic_report_file(self, tmp_path, capsys):
         main(["run", *SMALL, "--out", str(tmp_path / "a")])
         main(["run", *SMALL, "--out", str(tmp_path / "b")])
+        out, err = capsys.readouterr()
+        assert out == f"wrote {tmp_path / 'a/report.json'}\nwrote {tmp_path / 'b/report.json'}\n"
+        assert ELAPSED.fullmatch(err) and err.count("\n") == 2
         assert (tmp_path / "a/report.json").read_text() == (tmp_path / "b/report.json").read_text()
 
     def test_config_file_with_overrides(self, tmp_path, capsys):
@@ -452,9 +475,10 @@ def test_aliasing_warning_is_printed_once_whatever_the_filter():
 
 
 class TestMonteCarloCommand:
-    def test_writes_aggregates(self, tmp_path):
+    def test_writes_aggregates(self, tmp_path, capsys):
         code = main(["montecarlo", *SMALL, "--trials", "3", "--out", str(tmp_path)])
         assert code == 0
+        assert capsys.readouterr() == (f"wrote {tmp_path / 'montecarlo.json'}\n", "")
         report = json.loads((tmp_path / "montecarlo.json").read_text())
         assert report["num_trials"] == 3
         assert report["num_failed"] == 0
@@ -487,6 +511,20 @@ class TestMonteCarloCommand:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["num_failed"] == 1
         assert "1/3 trials failed" in captured.err
+
+    def test_every_trial_failing_is_counted_and_exits_0(self, capsys):
+        # a zero fading coefficient leaves nothing to fit in any trial
+        args = ["--trials", "3", "--snapshots", "5", "--set", "sensors=8", "--set",
+                "fading=deterministic", "--set", "beta_re=0", "--set", "beta_im=0"]
+        assert main(["montecarlo", *args]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "3/3 trials failed\n"
+        report = json.loads(captured.out)
+        assert (report["num_trials"], report["num_failed"], report["num_flagged"]) == (3, 3, 0)
+        assert [t["error"] for t in report["trials"]] == (
+            ["[prony] Hankel matrix is numerically zero"] * 3)
+        assert all(report[key] is None for key in
+                   ("angle_bias_deg", "angle_rmse_deg", "delay_bias", "delay_rmse"))
 
 
 class TestExitCodes:
@@ -732,6 +770,7 @@ class TestExitCodes:
 
         monkeypatch.setattr("jade.pipeline.svd_prony", boom)
         assert main(["estimate", *SMALL, "--data", str(data)]) == 3
+        assert capsys.readouterr() == ("", "estimation failed: [prony] injected\n")
 
     def test_estimation_failure_from_a_dataset_is_3(self, tmp_path, capsys):
         # an all-zero dataset: the estimator, not the loader, finds nothing to fit

@@ -160,7 +160,7 @@ def test_multi_path_rmse_is_near_the_joint_bound(name, keys, angle_bound, delay_
     mc = monte_carlo(cfg, trials=40)
     assert mc.num_failed == 0 and mc.num_flagged == 0
     angles, delays = joint_crb(cfg)
-    order = np.argsort([p.sin_angle for p in cfg.paths])  # the reports' path order
+    order = np.argsort([p.angle_deg for p in cfg.paths])  # the reports' path order
     angle_ratio = np.array(mc.angle_rmse_deg) / angles[order]
     delay_ratio = np.array(mc.delay_rmse) / delays[order]
     print(f"EFFICIENCY {name}, RMSE/sqrt(joint CRB over all N bins): "

@@ -14,6 +14,7 @@ from jade import (
     ArrayConfig,
     EstimationError,
     FadingModel,
+    MonteCarloReport,
     PathParam,
     PronyConfig,
     PulseConfig,
@@ -354,23 +355,31 @@ class TestMonteCarlo:
     def test_failed_trials_reported_and_excluded(self, monkeypatch):
         from jade.prony import svd_prony as real_svd_prony
 
-        calls = {"n": 0}
+        for failing in ({2}, {1, 2, 3}):  # one trial of three, then all of them
+            calls = {"n": 0}
 
-        def flaky(corr, cfg):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise EstimationError("prony", "injected failure")
-            return real_svd_prony(corr, cfg)
+            def flaky(corr, cfg):
+                calls["n"] += 1
+                if calls["n"] in failing:
+                    raise EstimationError("prony", "injected failure")
+                return real_svd_prony(corr, cfg)
 
-        monkeypatch.setattr("jade.pipeline.svd_prony", flaky)
-        mc = monte_carlo(small_scenario(num_snapshots=10), trials=3)
-        assert mc.num_failed == 1
-        assert mc.trials[1]["ok"] is False
-        assert "injected failure" in mc.trials[1]["error"]
-        ok = [t for t in mc.trials if t["ok"]]
-        assert len(ok) == 2
-        err = np.array([t["angle_errors_deg"] for t in ok])
-        assert mc.angle_rmse_deg == pytest.approx(np.sqrt((err**2).mean(axis=0)).tolist())
+            monkeypatch.setattr("jade.pipeline.svd_prony", flaky)
+            mc = monte_carlo(small_scenario(num_snapshots=10), trials=3)
+            assert (mc.num_trials, mc.num_failed, mc.num_flagged) == (3, len(failing), 0)
+            assert [t["ok"] for t in mc.trials] == [n not in failing for n in (1, 2, 3)]
+            assert all("injected failure" in t["error"] for t in mc.trials if not t["ok"])
+            ok = [t for t in mc.trials if t["ok"]]
+            if ok:
+                err = np.array([t["angle_errors_deg"] for t in ok])
+                assert mc.angle_rmse_deg == pytest.approx(np.sqrt((err**2).mean(axis=0)).tolist())
+            else:
+                aggregates = (mc.angle_bias_deg, mc.angle_rmse_deg, mc.delay_bias, mc.delay_rmse)
+                assert aggregates == (None,) * 4
+            # the counts and aggregates follow from the trials, and cannot be given
+            assert MonteCarloReport(config=mc.config, trials=mc.trials).to_dict() == mc.to_dict()
+            with pytest.raises(TypeError, match="num_failed"):
+                MonteCarloReport(config=mc.config, trials=mc.trials, num_failed=0)
 
     def test_rmse_improves_with_snapshots(self):
         rmses = []
