@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import ValidationError, open_text
+from .exceptions import ValidationError, open_text, sized
 from .pulse import omega_grid, spectrum
 
 __all__ = [
@@ -237,7 +237,7 @@ def synthesize(
     kept = upper if half else n
 
     m = arr.num_sensors
-    try:
+    with sized(f"snapshots={num_snapshots} on {m} sensors"):
         # fixed across snapshots; steering_vector checks the array and draw the fading model
         delayed = delayed_pulse_spectrum(spectrum(pulse), [p.delay for p in paths])
         steering = steering_vector(arr, [p.angle_deg for p in paths])
@@ -263,8 +263,6 @@ def synthesize(
                     block *= np.sqrt(n * noise_var / 2.0)
                     block += delayed[first:stop] @ coef[start:start + len(block)]
                     bins[first:stop, start:start + len(block)] = block.transpose(1, 0, 2)
-    except MemoryError as exc:  # the sizes are settings: too large is a bad setting
-        raise ValidationError(f"snapshots={num_snapshots} on {m} sensors: {exc}") from exc
 
     return SnapshotSet(bins=bins, spacing=arr.spacing, half=half)
 
@@ -278,6 +276,8 @@ def save_dataset(snaps: SnapshotSet, path) -> None:
     """
     if snaps.half:
         raise ValidationError("a half set (bins 0..N/2 only) cannot be saved as a dataset")
+    if not np.isfinite(snaps.bins).all():  # load_dataset refuses a non-finite sample
+        raise ValidationError("a set with a non-finite bin cannot be saved as a dataset")
     n, s_count, m = snaps.bins.shape
     with open(path, "w") as fh:
         fh.write(f"{DATASET_MAGIC} M={m} N={n} S={s_count} delta={float(snaps.spacing)!r}\n")
@@ -321,10 +321,8 @@ def load_dataset(path) -> SnapshotSet:
             raise ValidationError(
                 f"dataset header needs S >= 1 and N >= 2, got S={s_count} N={n}"
             )
-        try:
+        with sized(f"dataset header M={m} N={n} S={s_count}"):
             bins = np.empty((n, s_count, m), dtype=complex)
-        except MemoryError as exc:
-            raise ValidationError(f"dataset header M={m} N={n} S={s_count}: {exc}") from exc
         series = np.empty((m, n), dtype=complex)
         separators = b":," * (n - 1) + b":"  # what a line holds once its numbers are deleted
         for s in range(s_count):

@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_pulse(args, cfg: ScenarioConfig) -> int:
+def _cmd_pulse(args, cfg: ScenarioConfig) -> None:
     # the pulse `jade run` transmits: its bits are drawn from the scenario seed
     wave = generate_pulse(cfg.pulse)
     g = spectrum(wave)
@@ -153,10 +153,9 @@ def _cmd_pulse(args, cfg: ScenarioConfig) -> int:
     _write_csv(args.out / "pulse_spectrum.csv", ["omega", "magnitude", "phase"],
                zip(omega[order], np.abs(g)[order], np.angle(g)[order]))
     print(f"wrote {args.out / 'pulse_waveform.csv'} and {args.out / 'pulse_spectrum.csv'}")
-    return EXIT_OK
 
 
-def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
+def _cmd_simulate(args, cfg: ScenarioConfig) -> None:
     wave = generate_pulse(cfg.pulse)
     snaps = synthesize(
         wave, cfg.paths, cfg.array, cfg.fading, cfg.num_snapshots, cfg.noise_var, cfg.seed
@@ -167,26 +166,22 @@ def _cmd_simulate(args, cfg: ScenarioConfig) -> int:
         f"wrote {args.out}: S={snaps.num_snapshots} M={snaps.num_sensors} "
         f"N={snaps.num_samples} seed={cfg.seed}"
     )
-    return EXIT_OK
 
 
-def _cmd_estimate(args, cfg: ScenarioConfig) -> int:
+def _cmd_estimate(args, cfg: ScenarioConfig) -> None:
     cfg.pulse.validate()  # before parsing the dataset, which gives the array
     _emit_report(args, estimate(load_dataset(args.data), cfg))
-    return EXIT_OK
 
 
-def _cmd_run(args, cfg: ScenarioConfig) -> int:
+def _cmd_run(args, cfg: ScenarioConfig) -> None:
     _emit_report(args, run_pipeline(cfg, keep_artifacts=args.dump), include_timing=args.timing)
-    return EXIT_OK
 
 
-def _cmd_montecarlo(args, cfg: ScenarioConfig) -> int:
+def _cmd_montecarlo(args, cfg: ScenarioConfig) -> None:
     report = monte_carlo(cfg, trials=args.trials)
     _emit(args, report.to_json(), "montecarlo.json")
     if report.num_failed:
         print(f"{report.num_failed}/{report.num_trials} trials failed", file=sys.stderr)
-    return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -195,7 +190,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "dump", False) and args.out is None:
             raise ValidationError("--dump needs --out, the directory its CSVs go to")
-        return args.handler(args, _load_scenario(args))
+        args.handler(args, _load_scenario(args))
+        return EXIT_OK
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the text-file opener that raises one."""
+"""Exception types shared across the package, and the two guards that raise one."""
 
 from contextlib import contextmanager
 
@@ -33,3 +33,14 @@ def open_text(path):
             yield fh
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text") from exc
+
+
+@contextmanager
+def sized(what: str):
+    """Make a size too large for memory or numpy's index range a ValidationError about ``what``."""
+    try:
+        yield
+    except JadeError:  # the block's own errors pass: a ValidationError is a ValueError
+        raise
+    except (MemoryError, ValueError) as exc:
+        raise ValidationError(f"{what}: {exc}") from exc

@@ -277,6 +277,8 @@ def _stage(name: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except JadeError:
         raise
+    except MemoryError as exc:  # the sizes are settings: too large is a bad setting
+        raise ValidationError(f"[{name}] {exc}") from exc
     except Exception as exc:
         raise EstimationError(name, str(exc)) from exc
 
@@ -291,8 +293,8 @@ def estimate(snaps: SnapshotSet, cfg: ScenarioConfig) -> RunReport:
     ValidationError); only bins 0..N/2 are read. The report echoes every key of
     ``cfg`` but its fading and noise (``fading``, ``noise_var`` and each kind's
     keys), whose effect ``snaps`` holds, with the array and snapshot count of
-    ``snaps``. A setting a stage rejects raises its ValidationError; any other
-    stage failure is an EstimationError naming the stage. The report has no truth
+    ``snaps``. A setting a stage rejects, or a size it cannot hold, is a ValidationError;
+    any other stage failure is an EstimationError naming the stage. The report has no truth
     fields and keeps the stage outputs in ``artifacts``, none of which refers to
     ``snaps``; unlike :func:`run_pipeline`, this call leaves the set to its caller.
     """

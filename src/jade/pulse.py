@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ValidationError, sized
 
 __all__ = [
     "PulseConfig",
@@ -110,7 +110,7 @@ def generate_pulse(cfg: PulseConfig) -> np.ndarray:
     raised-cosine factors (t = 0 and |t| = 1/(2*rolloff)) are replaced by
     their limits.
     """
-    try:
+    with sized(f"symbols={cfg.symbol_count} at oversample={cfg.oversample}"):
         bits = cfg.resolve_bits()
         t = cfg.times
 
@@ -129,9 +129,6 @@ def generate_pulse(cfg: PulseConfig) -> np.ndarray:
         rolloff_term = np.where(singular, np.pi / 4.0, np.cos(np.pi * rho * t) / safe_denom)
 
         return sinc_term * rolloff_term * np.cos(2.0 * np.pi * cfg.carrier_freq * t + keyed_phase)
-    except MemoryError as exc:  # the sizes are settings: too large is a bad setting
-        raise ValidationError(
-            f"symbols={cfg.symbol_count} at oversample={cfg.oversample}: {exc}") from exc
 
 
 def spectrum(wave: np.ndarray, band_threshold: float = 0.1) -> np.ndarray:

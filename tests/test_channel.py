@@ -407,6 +407,19 @@ class TestSynthesize:
         with pytest.raises(ValidationError, match=">= 2 samples"):
             synthesize(np.array([1.0]), [PathParam(0.0, 0.0)], arr, fading, 1)
 
+    # numpy refuses the sensor indices, or the fading draws, before it allocates
+    @pytest.mark.parametrize("sensors, snapshots", [(10**20, 1), (4, 10**20)])
+    def test_a_size_beyond_numpys_index_range_is_a_validation_error(self, pulse_wave, sensors,
+                                                                     snapshots):
+        arr, fading = ArrayConfig(sensors, 0.5), RANDOM_FADING["rayleigh"]
+        for noise_var in (0.0, 1.0):
+            with pytest.raises(ValidationError, match=f"^snapshots={snapshots} on {sensors} "
+                                                      "sensors: Maximum allowed"):
+                synthesize(pulse_wave, TWO_PATHS, arr, fading, snapshots, noise_var)
+        # an error synthesize raises inside the guard passes through unchanged
+        with pytest.raises(ValidationError, match="^waveform must be 1-D"):
+            synthesize(np.array([1.0]), [PathParam(0.0, 0.0)], arr, fading, snapshots)
+
 
 class TestNumBins:
     # N = 128 (the default), 48 and the odd-half 50; M spans tiny to large arrays
@@ -565,6 +578,21 @@ class TestDatasetIO:
         save_dataset(full, path)
         assert np.array_equal(read_samples(path, full), time_series(full))
 
+    def test_non_finite_set_is_not_saved(self, pulse_wave, tmp_path):
+        # load_dataset refuses a non-finite sample, so save_dataset writes none: not the
+        # noise of a variance whose N-fold overflows, nor a bin set by hand
+        path = tmp_path / "data.txt"
+        overflowing = synthesize(pulse_wave, TWO_PATHS, ArrayConfig(4, 0.5), NO_FADING, 2, 1e308)
+        sets = [overflowing]
+        for value in (np.nan, np.inf):
+            snaps = one_path_snaps(pulse_wave, sensors=3, snapshots=2)
+            snaps.bins[5, 1, 2] = value
+            sets.append(snaps)
+        for snaps in sets:
+            with pytest.raises(ValidationError, match="^a set with a non-finite bin"):
+                save_dataset(snaps, path)
+            assert not path.exists()
+
     def test_header_format(self, pulse_wave, tmp_path):
         snaps = one_path_snaps(pulse_wave, sensors=3, snapshots=2)
         path = tmp_path / "data.txt"
@@ -585,6 +613,16 @@ class TestDatasetIO:
         path = tmp_path / "huge.txt"
         path.write_text("JADE1 M=4 N=128 S=1000000000000 delta=0.5\nabc:0\n")
         with pytest.raises(ValidationError, match="dataset header M=4 N=128 S=1000000000000"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("header", ["M=4 N=128 S=10**20", "M=10**20 N=128 S=1",
+                                        "M=4 N=10**20 S=1"])
+    def test_rejects_a_header_beyond_numpys_index_range(self, tmp_path, header):
+        # numpy refuses the bins before it allocates; the data line is not a number
+        header = header.replace("10**20", str(10**20))
+        path = tmp_path / "huge.txt"
+        path.write_text(f"JADE1 {header} delta=0.5\nabc:0\n")
+        with pytest.raises(ValidationError, match=f"^dataset header {header}: Maximum allowed"):
             load_dataset(path)
 
     def test_rejects_non_numeric_sample(self, tmp_path):

@@ -595,6 +595,43 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and "Unable to allocate" in captured.err
         assert not out.exists()
 
+    # Sizes numpy refuses before it allocates anything, as beyond its index range; a set
+    # that holds a non-finite bin, which no dataset may; and a Gram too large for memory.
+    # Each case but the last stops before the correlation, which a stand-in replaces that
+    # raises MemoryError at once.
+    @pytest.mark.parametrize("args, header, message", [
+        ("pulse --out {out} --set oversample={huge}", None, "symbols=32 at oversample={huge}: "),
+        ("pulse --out {out} --set symbols={huge}", None, "symbols={huge} at oversample=4: "),
+        ("simulate --out {out} --set sensors={huge}", None, "snapshots=200 on {huge} sensors: "),
+        ("simulate --out {out} --set snapshots={huge}", None, "snapshots={huge} on 64 sensors: "),
+        ("run --out {out} --set sensors={huge}", None, "snapshots=200 on {huge} sensors: "),
+        ("run --out {out} --set symbols={huge}", None, "symbols={huge} at oversample=4: "),
+        ("montecarlo --out {out} --trials 1 --set snapshots={huge}", None,
+         "snapshots={huge} on 64 sensors: "),
+        *((f"estimate --out {{out}} --data {{data}}", header, f"dataset header {header}: ")
+          for header in ("M=4 N=128 S={huge}", "M={huge} N=128 S=1", "M=4 N={huge} S=1")),
+        ("simulate --out {out} --set noise_var=1e308 --snapshots 2", None,
+         "a set with a non-finite bin cannot be saved as a dataset\n"),
+        ("run --out {out} --set sensors=8 --snapshots 5", None, "[correlation] Unable to allocate"),
+    ], ids=["pulse-oversample", "pulse-symbols", "simulate-sensors", "simulate-snapshots",
+            "run-sensors", "run-symbols", "montecarlo-snapshots", "estimate-S", "estimate-M",
+            "estimate-N", "simulate-non-finite", "run-correlation-memory"])
+    def test_size_numpy_refuses_or_unsaveable_set_is_2(self, tmp_path, capsys, monkeypatch,
+                                                       args, header, message):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr("jade.pipeline.estimate_correlation", too_large)
+        names = dict(huge=10**20, out=tmp_path / "out", data=tmp_path / "data.txt")
+        if header:
+            names["data"].write_text(f"JADE1 {header.format(**names)} delta=0.5\nabc:0\n")
+        assert main(args.format(**names).split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert captured.err.startswith("error: " + message.format(**names))
+        assert not names["out"].exists()
+
     def test_non_numeric_value_in_config_file_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("sensors = eight\n")

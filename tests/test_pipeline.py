@@ -91,6 +91,26 @@ class TestRunPipeline:
         with pytest.raises(EstimationError, match=r"\[prony\]"):
             run_pipeline(small_scenario())
 
+    def test_a_linalg_error_stays_an_estimation_error(self, monkeypatch):
+        # numpy's LinAlgError is a ValueError, and still not a bad setting
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("jade.pipeline.svd_prony", no_convergence)
+        with pytest.raises(EstimationError, match=r"^\[prony\] SVD did not converge$"):
+            run_pipeline(small_scenario())
+
+    def test_a_stage_out_of_memory_is_a_validation_error(self, monkeypatch):
+        # the sizes are settings, so a Gram too large for memory is a bad setting; the
+        # stand-in raises at once, so nothing is allocated
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr("jade.pipeline.estimate_correlation", too_large)
+        for call in (run_pipeline, lambda cfg: monte_carlo(cfg, trials=2)):
+            with pytest.raises(ValidationError, match=r"^\[correlation\] Unable to allocate 298"):
+                call(small_scenario())
+
     def test_byte_identical_reports(self):
         cfg = small_scenario()
         a = run_pipeline(cfg).to_json()
@@ -346,6 +366,11 @@ class TestMonteCarlo:
         mc = monte_carlo(cfg, trials=20)
         assert mc.num_failed == 0
         assert max(mc.delay_rmse) < 0.1
+
+    @pytest.mark.parametrize("key", ["sensors", "snapshots"])
+    def test_a_size_beyond_numpys_index_range_fails_the_whole_call(self, key):
+        with pytest.raises(ValidationError, match=f"{10**20}.*: Maximum allowed"):
+            monte_carlo(scenario_from_dict({key: 10**20}), trials=2)
 
     def test_trial_seeds_differ_and_are_deterministic(self):
         seeds = [trial_seed(1, t) for t in range(6)]

@@ -115,6 +115,16 @@ class TestGeneratePulse:
                                                   "Unable to allocate"):
             generate_pulse(PulseConfig(0.35, 0.25, symbols, oversample, bits_seed=0))
 
+    # numpy refuses a sample or bit count beyond its index range before it allocates
+    @pytest.mark.parametrize("symbols, oversample", [(32, 10**20), (10**20, 4)])
+    def test_a_pulse_beyond_numpys_index_range_is_a_validation_error(self, symbols, oversample):
+        with pytest.raises(ValidationError, match=f"^symbols={symbols} at oversample={oversample}: "
+                                                  "Maximum allowed"):
+            generate_pulse(PulseConfig(0.35, 0.25, symbols, oversample, bits_seed=0))
+        # the pulse's own error, raised inside the guard, passes through unchanged
+        with pytest.raises(ValidationError, match="^symbol_count must be even"):
+            generate_pulse(PulseConfig(0.35, 0.25, 10**20 + 1, 4, bits_seed=0))
+
     def test_grid_definition(self):
         cfg = zero_bit_cfg()
         wave = generate_pulse(cfg)
